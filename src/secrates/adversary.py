@@ -100,17 +100,25 @@ def best_response_packet(
     return JammingRule(CsiRegime.PACKET_FEEDBACK, decide)
 
 
-def _prob_interval_geq(dist_m: GainDistribution, lo: float, hi: float, thr) -> float | np.ndarray:
-    """P[H_m in [lo, hi) and H_m >= thr]; vectorized over thr."""
-    thr = np.asarray(thr, dtype=float)
+def _prob_interval_geq(dist_m: GainDistribution, lo, hi, thr) -> float | np.ndarray:
+    """P[H_m in [lo, hi) and H_m >= thr]; broadcasts over lo, hi and thr."""
+    lo, hi, thr = (np.asarray(x, dtype=float) for x in (lo, hi, thr))
     if dist_m.is_degenerate:
         v = dist_m.param
-        out = np.where(np.logical_and(lo <= v < hi, v >= thr), 1.0, 0.0)
+        out = np.where((lo <= v) & (v < hi) & (v >= thr), 1.0, 0.0)
     else:
-        a = np.maximum(lo, thr)
-        hi_cdf = 1.0 if np.isinf(hi) else dist_m.cdf(hi)
-        out = np.maximum(hi_cdf - dist_m.cdf(a), 0.0)
+        out = np.maximum(dist_m.cdf(hi) - dist_m.cdf(np.maximum(lo, thr)), 0.0)
     return out if out.ndim else float(out)
+
+
+def _jam_threshold(r, sp: SystemParams, h_z=0.0) -> np.ndarray:
+    """Least h_m whose main capacity under jamming gain h_z (0: unjammed)
+    carries rate r; broadcasts over r and h_z."""
+    snr_thr = 2.0 ** np.asarray(r, dtype=float) - 1.0
+    scale = 1.0 + sp.p_j * np.asarray(h_z, dtype=float)
+    if sp.p == 0:  # zero power carries only the zero rate
+        return np.where(snr_thr > 0, np.inf, 0.0) * scale
+    return snr_thr * scale / sp.p
 
 
 def pilot_payoffs(
@@ -128,29 +136,16 @@ def pilot_payoffs(
     ``P[rate_eve(h_e[j]) <= R(H_m) - r_s and rate_main_clear(H_m) >= R(H_m)]``.
     Exact via the marginal CDF of H_m (gains are independent, and the
     policy is piecewise-constant, so each cell contributes a closed-form
-    probability mass).
+    probability mass); evaluated as one (cells x points) array per action.
     """
     h_e = np.atleast_1d(np.asarray(h_e, float))
     h_z = np.atleast_1d(np.asarray(h_z, float))
-    jam = np.zeros(h_z.size)
-    eaves = np.zeros(h_e.size)
-    eve_rate = np.log2(1.0 + sp.p * h_e)
-
-    for lo, hi, r in policy.intervals():
-        snr_thr = 2.0 ** r - 1.0
-        if sp.p == 0:
-            # zero transmit power: every rate comparison degenerates to r == 0
-            if snr_thr <= 0:
-                mass = _prob_interval_geq(dist.h_m, lo, hi, 0.0)
-                jam += mass
-                eaves += np.where(eve_rate <= r - r_s, mass, 0.0)
-            continue
-        # jamming branch: h_m >= (2^r - 1)(1 + p_j h_z)/p, per observed h_z
-        thr_jam = snr_thr * (1.0 + sp.p_j * h_z) / sp.p
-        jam += np.atleast_1d(_prob_interval_geq(dist.h_m, lo, hi, thr_jam))
-        # eavesdropping branch: connection threshold does not involve h_z
-        mass_conn = _prob_interval_geq(dist.h_m, lo, hi, snr_thr / sp.p)
-        eaves += np.where(eve_rate <= r - r_s, mass_conn, 0.0)
+    lo, hi, r = np.array(list(policy.intervals())).T[:, :, None]
+    jam = _prob_interval_geq(dist.h_m, lo, hi, _jam_threshold(r, sp, h_z)).sum(axis=0)
+    # eavesdropping branch: the connection threshold does not involve h_z
+    mass_conn = _prob_interval_geq(dist.h_m, lo, hi, _jam_threshold(r, sp))
+    eve_ok = np.log2(1.0 + sp.p * h_e) <= r - r_s
+    eaves = np.where(eve_ok, mass_conn, 0.0).sum(axis=0)
     return jam, eaves
 
 

@@ -24,7 +24,7 @@ from .adversary import CsiRegime
 from .channels import ChannelTriple, GainDistribution
 from .delay_limited import SearchConfig, c_min_closed_form, solve
 from .ergodic import ErgodicConfig, RegionConfig, dominance_region, rate_arq, rate_nocsi, rate_upper_bound
-from .errors import AlphaOutOfRange, ConfigError, NonConvergence
+from .errors import ConfigError, NonConvergence, NonMonotone, SecratesError, UnsupportedRegime
 from .phy_rates import SystemParams
 from .policies import RatePolicy
 
@@ -86,6 +86,14 @@ def _parse_axis(section, where: str) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
+def _coerce(kind, value, where: str):
+    """``kind(value)``, or a ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _resolve(config: dict) -> dict:
     """Validate and fill defaults; returns the manifest-ready config."""
     if not isinstance(config, dict):
@@ -105,9 +113,9 @@ def _resolve(config: dict) -> dict:
             },
         ),
         "power": config.get("power", {"p": 1.0, "p_j": 1.0}),
-        "seed": int(config.get("seed", 20240)),
-        "samples": int(config.get("samples", 1_000_000)),
-        "rate_tol": float(config.get("rate_tol", 1e-4)),
+        "seed": _coerce(int, config.get("seed", 20240), "seed"),
+        "samples": _coerce(int, config.get("samples", 1_000_000), "samples"),
+        "rate_tol": _coerce(float, config.get("rate_tol", 1e-4), "rate_tol"),
     }
     # validate eagerly so errors name the offending key
     for name in ("h_m", "h_e", "h_z"):
@@ -125,7 +133,7 @@ def _resolve(config: dict) -> dict:
         alphas = config.get("alphas")
         if not alphas:
             raise ConfigError("alphas: a non-empty list is required for the sweep")
-        alphas = [float(a) for a in alphas]
+        alphas = _coerce(lambda v: [float(a) for a in v], alphas, "alphas")
         if any(not (0.0 < a <= 1.0) for a in alphas):
             raise ConfigError("alphas: every value must lie in (0, 1]")
         out["alphas"] = sorted(alphas)
@@ -136,19 +144,16 @@ def _resolve(config: dict) -> dict:
         _parse_axis(grid["he"], "grid.he")
         _parse_axis(grid["hm"], "grid.hm")
         out["grid"] = grid
-        if "hz_star" in config:
-            out["hz_star"] = float(config["hz_star"])
-        else:
-            out["hz_quantile"] = float(config.get("hz_quantile", 0.75))
     else:
         point = config.get("point")
         if not isinstance(point, dict) or "op" not in point:
             raise ConfigError("point: a mapping with an 'op' key is required")
         out["point"] = point
+    if scenario != "delay-limited-sweep":
         if "hz_star" in config:
-            out["hz_star"] = float(config["hz_star"])
-        elif "hz_quantile" in config:
-            out["hz_quantile"] = float(config["hz_quantile"])
+            out["hz_star"] = _coerce(float, config["hz_star"], "hz_star")
+        elif "hz_quantile" in config or scenario == "ergodic-region":
+            out["hz_quantile"] = _coerce(float, config.get("hz_quantile", 0.75), "hz_quantile")
     return out
 
 
@@ -283,12 +288,25 @@ def run_point_eval(resolved: dict, out_dir: Path) -> int:
     point = resolved["point"]
     op = point["op"]
     args = point.get("args", {}) or {}
+    if not isinstance(args, dict):
+        raise ConfigError("point.args: expected a mapping")
+
+    def arg(key: str) -> float:
+        if key not in args:
+            raise ConfigError(f"point.args.{key}: missing")
+        return _coerce(float, args[key], f"point.args.{key}")
+
+    def regime() -> CsiRegime:
+        out = _REGIMES.get(args.get("regime", "no_csi"))
+        if out is None:
+            raise ConfigError(f"point.args.regime: unknown regime {args.get('regime')!r}")
+        return out
 
     if op == "cdf":
         which = args.get("channel", "h_e")
         if which not in ("h_m", "h_e", "h_z"):
             raise ConfigError(f"point.args.channel: unknown channel {which!r}")
-        value = getattr(dist, which).cdf(float(args["x"]))
+        value = getattr(dist, which).cdf(arg("x"))
         print(f"cdf[{which}]({args['x']}) = {value!r}")
     elif op in ("rate_nocsi", "rate_upper_bound", "rate_arq"):
         cfg = ErgodicConfig(sp, dist, _hz_star(resolved, dist.h_z))
@@ -297,21 +315,20 @@ def run_point_eval(resolved: dict, out_dir: Path) -> int:
         value, err = fn(cfg, mc_n=resolved["samples"])
         print(f"{op} = {value!r} +- {err!r}")
     elif op == "c_min_closed_form":
-        regime = _REGIMES.get(args.get("regime", "no_csi"))
-        if regime is None:
-            raise ConfigError(f"point.args.regime: unknown regime {args.get('regime')!r}")
-        policy = RatePolicy.constant(float(args["R"]))
-        value = c_min_closed_form(regime, policy, float(args["r_s"]), sp, dist)
-        print(f"c_min_closed_form[{regime.value}](R={args['R']}, r_s={args['r_s']}) = {value!r}")
+        reg = regime()
+        policy = RatePolicy.constant(arg("R"))
+        try:
+            value = c_min_closed_form(reg, policy, arg("r_s"), sp, dist)
+        except UnsupportedRegime as exc:
+            raise ConfigError(f"point.args.regime: {exc}") from exc
+        print(f"c_min_closed_form[{reg.value}](R={args['R']}, r_s={args['r_s']}) = {value!r}")
     elif op == "solve":
-        regime = _REGIMES.get(args.get("regime", "no_csi"))
-        if regime is None:
-            raise ConfigError(f"point.args.regime: unknown regime {args.get('regime')!r}")
+        reg = regime()
         cfg = SearchConfig(rate_tol=resolved["rate_tol"], mc_n=resolved["samples"],
                            seed=resolved["seed"])
-        sol = solve(regime, sp, dist, float(args["alpha"]), cfg)
+        sol = solve(reg, sp, dist, arg("alpha"), cfg)
         print(
-            f"solve[{regime.value}](alpha={args['alpha']}) = {sol.r_s_star!r} "
+            f"solve[{reg.value}](alpha={args['alpha']}) = {sol.r_s_star!r} "
             f"(C={sol.report.c_min!r} +- {sol.report.std_err!r}, "
             f"feasible={sol.report.feasible})"
         )
@@ -394,15 +411,12 @@ def main(argv: list[str] | None = None) -> int:
             "point-eval": run_point_eval,
         }[resolved["scenario"]]
         return runner(resolved, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AlphaOutOfRange as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonConvergence as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+    except (NonConvergence, NonMonotone) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except SecratesError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

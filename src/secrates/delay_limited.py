@@ -10,14 +10,14 @@ a bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import adversary as adv
 from .adversary import CsiRegime, JammingRule
-from .channels import ChannelTriple, GainDistribution, MonteCarlo, Quadrature, expect, sample, substream
-from .errors import AlphaOutOfRange, PolicyRegimeMismatch, SecratesError, UnsupportedRegime
+from .channels import ChannelTriple, GainDistribution, MonteCarlo, sample, substream
+from .errors import AlphaOutOfRange, NonMonotone, PolicyRegimeMismatch, UnsupportedRegime
 from .phy_rates import SystemParams, rate_main_clear, rate_main_jammed, success_indicator
 from .policies import RatePolicy
 
@@ -123,34 +123,37 @@ def evaluate_constraint_full_duplex(
                              regime=CsiRegime.PACKET_FEEDBACK)
 
 
-def _secrecy_factor(r: float, r_s: float, sp: SystemParams, dist_e: GainDistribution) -> float:
-    """P[log2(1 + p*H_e) <= r - r_s]."""
+def _secrecy_factor(r, r_s: float, sp: SystemParams, dist_e: GainDistribution):
+    """P[log2(1 + p*H_e) <= r - r_s]; vectorized over r."""
     if sp.p == 0:
-        return 1.0 if r >= r_s else 0.0
-    return float(dist_e.cdf((2.0 ** (r - r_s) - 1.0) / sp.p))
+        return np.where(r >= r_s, 1.0, 0.0)
+    return dist_e.cdf((2.0 ** (r - r_s) - 1.0) / sp.p)
 
 
-def _cell_jam_mass(
-    lo: float, hi: float, r: float, sp: SystemParams, dist: ChannelTriple, tol: float
-) -> float:
-    """P[H_m in [lo, hi) and jammed main capacity >= r], joint over H_z."""
-    snr_thr = 2.0 ** r - 1.0
-    if snr_thr <= 0:
-        return adv._prob_interval_geq(dist.h_m, lo, hi, 0.0)
-    if sp.p == 0:
-        return 0.0
-    if dist.h_z.is_degenerate or sp.p_j == 0:
-        v = dist.h_z.param if sp.p_j > 0 else 0.0
-        thr = snr_thr * (1.0 + sp.p_j * v) / sp.p
-        return adv._prob_interval_geq(dist.h_m, lo, hi, thr)
-    value, _ = expect(
-        dist.h_z,
-        lambda z: adv._prob_interval_geq(
-            dist.h_m, lo, hi, snr_thr * (1.0 + sp.p_j * float(z)) / sp.p
-        ),
-        Quadrature(tol=tol),
-    )
-    return value
+def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple):
+    """P[H_m in [lo, hi) and jammed main capacity >= r], joint over H_z.
+
+    Closed form, broadcast over cells.  A jammed block survives iff
+    H_m >= c*(1 + p_j*H_z), c = (2^r - 1)/p.  For a fading jamming link the
+    H_z axis splits where that threshold crosses lo (z_lo) and hi (z_hi):
+    below z_lo the whole cell survives, above z_hi none of it, and between
+    them an exponential H_m tail integrates against the H_z density.
+    """
+    if dist.h_z.is_degenerate or sp.p_j == 0 or sp.p == 0:
+        return adv._prob_interval_geq(dist.h_m, lo, hi, adv._jam_threshold(r, sp, dist.h_z.param))
+    lo, hi, c = np.broadcast_arrays(lo, hi, adv._jam_threshold(r, sp))
+    crossing = lambda x: np.maximum(  # a zero threshold never crosses
+        (np.divide(x, c, out=np.full(c.shape, np.inf), where=c > 0) - 1.0) / sp.p_j, 0.0)
+    if dist.h_m.is_degenerate:
+        return adv._prob_interval_geq(dist.h_m, lo, hi, 0.0) * dist.h_z.cdf(crossing(dist.h_m.param))
+    z_lo, z_hi = crossing(lo), crossing(hi)
+    mu_m, mu_z = dist.h_m.param, dist.h_z.param
+    S_m, F_z = dist.h_m.tail_geq, dist.h_z.cdf
+    k = 1.0 / mu_z + c * sp.p_j / mu_m
+    mass = ((S_m(lo) - S_m(hi)) * F_z(z_lo)
+            + np.exp(-c / mu_m) * (np.exp(-k * z_lo) - np.exp(-k * z_hi)) / (mu_z * k)
+            - S_m(hi) * (F_z(z_hi) - F_z(z_lo)))
+    return np.maximum(mass, 0.0)
 
 
 def c_min_closed_form(
@@ -159,74 +162,61 @@ def c_min_closed_form(
     r_s: float,
     sp: SystemParams,
     dist: ChannelTriple,
-    tol: float = 1e-10,
 ) -> float:
     """Constraint value at the adversary's best response, in closed form.
 
     The best-responding adversary reduces the constraint to the single
     probability P[r_s + log2(1+p*H_e) <= R(H_m) <= jammed main capacity].
     With independent gains and a piecewise-constant policy this is a sum
-    of per-cell products of marginal probabilities (with one 1-D
-    quadrature over H_z per cell when the jamming link fades).
+    of per-cell products of marginal probabilities, each elementary for
+    exponential or point-mass gains (see :func:`_cell_jam_mass` for a
+    fading jamming link).
     """
     if regime is CsiRegime.PILOT_FEEDBACK:
         raise UnsupportedRegime("no closed form for pilot feedback")
     _check_regime(regime, policy)
-    total = 0.0
-    for lo, hi, r in policy.intervals():
-        fe = _secrecy_factor(r, r_s, sp, dist.h_e)
-        if fe > 0.0:
-            total += fe * _cell_jam_mass(lo, hi, r, sp, dist, tol)
-    return float(min(max(total, 0.0), 1.0))
+    lo, hi, r = np.array(list(policy.intervals())).T
+    cells = _secrecy_factor(r, r_s, sp, dist.h_e) * _cell_jam_mass(lo, hi, r, sp, dist)
+    return float(np.clip(np.sum(cells), 0.0, 1.0))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
+def _golden_max(f, lo, hi, tol: float = 1e-6):
+    """Golden-section maximization of unimodal functions on [lo, hi].
+
+    Elementwise: ``f`` maps an array of points to their values, one objective
+    per element, and each element stops at its own ``b - a <= tol``, visiting
+    the points its scalar search would.
+    """
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    x = x1 if f1 >= f2 else x2
-    return x, max(f1, f2)
+    while np.any(live := b - a > tol):
+        up = live & (f1 < f2)
+        down = live & ~(f1 < f2)
+        a, x1, f1 = np.where(up, x1, a), np.where(up, x2, x1), np.where(up, f2, f1)
+        b, x2, f2 = np.where(down, x2, b), np.where(down, x1, x2), np.where(down, f1, f2)
+        x = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        fx = f(x)
+        x2, f2 = np.where(up, x, x2), np.where(up, fx, f2)
+        x1, f1 = np.where(down, x, x1), np.where(down, fx, f1)
+    return np.where(f1 >= f2, x1, x2)[()], np.maximum(f1, f2)[()]
 
 
-def _grid_then_golden(f, lo: float, hi: float, n_grid: int = 48, tol: float = 1e-6):
-    """Coarse-grid scan followed by golden-section refinement."""
-    if hi <= lo:
-        return lo, f(lo)
+def _grid_then_golden(f, lo, hi, n_grid: int = 48, tol: float = 1e-6):
+    """Coarse-grid scan followed by golden-section refinement, elementwise.
+
+    ``f`` is evaluated on an (n_grid, ...) array of points at once; see
+    :func:`_golden_max` for the refinement.
+    """
     grid = np.linspace(lo, hi, n_grid)
-    vals = [f(x) for x in grid]
-    k = int(np.argmax(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n_grid - 1)]
-    x, v = _golden_max(f, a, b, tol)
-    if vals[k] >= v:
-        return float(grid[k]), float(vals[k])
-    return float(x), float(v)
-
-
-def _conn_jam_factor(h_m: float, r: float, sp: SystemParams, dist_z: GainDistribution) -> float:
-    """P[1 + p_j*H_z <= p*h_m / (2^r - 1)] for a fixed main gain."""
-    snr_thr = 2.0 ** r - 1.0
-    if snr_thr <= 0:
-        return 1.0
-    if sp.p == 0 or h_m <= 0:
-        return 0.0
-    t = sp.p * h_m / snr_thr
-    if sp.p_j == 0:
-        return 1.0 if t >= 1.0 else 0.0
-    if dist_z.is_degenerate:
-        return 1.0 if t >= 1.0 + sp.p_j * dist_z.param else 0.0
-    return float(dist_z.cdf((t - 1.0) / sp.p_j))
+    vals = f(grid)
+    k = np.argmax(vals, axis=0)[None]
+    at = lambda arr, i: np.take_along_axis(arr, i, axis=0)[0]
+    x_grid, v_grid = at(grid, k), at(vals, k)
+    x, v = _golden_max(f, at(grid, np.maximum(k - 1, 0)), at(grid, np.minimum(k + 1, n_grid - 1)), tol)
+    keep = v_grid >= v
+    return np.where(keep, x_grid, x)[()], np.where(keep, v_grid, v)[()]
 
 
 def optimize_policy_packet(
@@ -240,39 +230,38 @@ def optimize_policy_packet(
     The constraint is a separate expectation over the main gain, so the
     optimal rate is found knot by knot: maximize
     ``P[H_e <= (2^(r-r_s)-1)/p] * P[1 + p_j*H_z <= p*h_m/(2^r - 1)]``
-    over ``r`` in ``[r_s, log2(1 + p*h_m)]``.  Knots are quantile-spaced
-    in H_m so resolution follows probability mass.
+    over ``r`` in ``[r_s, log2(1 + p*h_m)]`` at the cell's quantile
+    midpoint ``h_m``.  One elementwise grid-then-golden search covers all
+    knots at once.  Knots are quantile-spaced in H_m so resolution follows
+    probability mass.
     """
     if r_s < 0:
         raise ValueError("r_s must be nonnegative")
-
-    def best_rate(h_lo: float, h_rep: float) -> float:
-        hi = float(rate_main_clear(sp, h_rep))
-        if h_rep <= 0 or hi <= r_s:
-            return r_s
-        if dist.h_z.is_degenerate or sp.p_j == 0:
-            # The jamming factor is a step in r.  Pin the rate to the jammed
-            # capacity at the cell's LEFT edge: a higher rate (e.g. at the
-            # cell midpoint) would fail every realization below it and
-            # forfeit that mass for a vanishing rate gain.
-            v = dist.h_z.param if sp.p_j > 0 else 0.0
-            return max(r_s, float(rate_main_jammed(sp, h_lo, v)))
-        g = lambda r: (_secrecy_factor(r, r_s, sp, dist.h_e)
-                       * _conn_jam_factor(h_rep, r, sp, dist.h_z))
-        r_star, _ = _grid_then_golden(g, r_s, hi)
-        return r_star
-
     if dist.h_m.is_degenerate:
-        v = dist.h_m.param
-        policy = RatePolicy.constant(best_rate(v, v))
+        knots_h = reps = np.array([dist.h_m.param])
     else:
-        q = np.arange(n_knots) / n_knots
-        knots_h = dist.h_m.ppf(q)
+        knots_h = dist.h_m.ppf(np.arange(n_knots) / n_knots)
         reps = dist.h_m.ppf((np.arange(n_knots) + 0.5) / n_knots)
-        knots_r = np.array([best_rate(lo, h) for lo, h in zip(knots_h, reps)])
-        policy = RatePolicy.tabulated(knots_h, knots_r)
-    c_min = c_min_closed_form(CsiRegime.PACKET_FEEDBACK, policy, r_s, sp, dist)
-    return policy, c_min
+    if dist.h_z.is_degenerate or sp.p_j == 0:
+        # The jamming factor is a step in r.  Pin the rate to the jammed
+        # capacity at the cell's LEFT edge: a higher rate (e.g. at the
+        # cell midpoint) would fail every realization below it and
+        # forfeit that mass for a vanishing rate gain.
+        rates = np.maximum(r_s, rate_main_jammed(sp, knots_h, dist.h_z.param))
+    else:
+        cap = rate_main_clear(sp, reps)
+        live = (reps > 0) & (cap > r_s)
+
+        def g(r):
+            with np.errstate(divide="ignore"):  # r = 0 survives any jamming gain
+                conn = dist.h_z.cdf((sp.p * reps[live] / (2.0 ** r - 1.0) - 1.0) / sp.p_j)
+            return _secrecy_factor(r, r_s, sp, dist.h_e) * conn
+
+        rates = np.full(reps.shape, float(r_s))
+        rates[live], _ = _grid_then_golden(g, r_s, cap[live])
+    policy = (RatePolicy.constant(rates[0]) if dist.h_m.is_degenerate
+              else RatePolicy.tabulated(knots_h, rates))
+    return policy, c_min_closed_form(CsiRegime.PACKET_FEEDBACK, policy, r_s, sp, dist)
 
 
 def optimize_policy_pilot(
@@ -293,11 +282,8 @@ def optimize_policy_pilot(
     response, with common random numbers across candidates.
     """
     base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)
-    if base.is_constant:
-        knots_h = np.array([dist.h_m.param])
-        knots_r = np.array([base.rate])
-    else:
-        knots_h, knots_r = base.knots_h, base.knots_r
+    knots_h = np.array([dist.h_m.param]) if base.is_constant else base.knots_h
+    knots_r = np.array([base.rate]) if base.is_constant else base.knots_r
     clear_lo = np.maximum(np.log2(1.0 + sp.p * knots_h), r_s)
     n = knots_r.size
 
@@ -342,17 +328,17 @@ def _best_constant_nocsi(
 ) -> tuple[RatePolicy, float]:
     """Maximize the no-CSI closed form over the constant code rate."""
 
-    def g(r: float) -> float:
-        return c_min_closed_form(
-            CsiRegime.NO_CSI, RatePolicy.constant(r), r_s, sp, dist
-        )
+    def g(r):
+        # c_min_closed_form of RatePolicy.constant(r), for an array of r
+        mass = _cell_jam_mass(0.0, np.inf, r, sp, dist)
+        return np.clip(_secrecy_factor(r, r_s, sp, dist.h_e) * mass, 0.0, 1.0)
 
     # shrink the search window to where a successful jammed block is possible
     hi = r_s + 1.0
-    while hi < r_s + r_cap and _cell_jam_mass(0.0, np.inf, hi, sp, dist, 1e-10) > 1e-9:
+    while hi < r_s + r_cap and _cell_jam_mass(0.0, np.inf, hi, sp, dist) > 1e-9:
         hi = r_s + 2.0 * (hi - r_s)
     r_star, c = _grid_then_golden(g, r_s, hi, n_grid=96)
-    return RatePolicy.constant(r_star), c
+    return RatePolicy.constant(r_star), float(c)
 
 
 def solve(
@@ -428,7 +414,7 @@ def _assert_monotone(history: list[tuple[float, float, float]]):
     for (r0, c0, s0), (r1, c1, s1) in zip(pts[:-1], pts[1:]):
         slack = 6.0 * np.hypot(s0, s1) + 1e-6
         if c1 > c0 + slack:
-            raise SecratesError(
+            raise NonMonotone(
                 f"constraint not monotone in r_s: C({r0:.6g})={c0:.6g} < "
                 f"C({r1:.6g})={c1:.6g}"
             )

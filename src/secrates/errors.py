@@ -9,6 +9,10 @@ class NonConvergence(SecratesError):
     """Adaptive quadrature failed to meet the requested tolerance."""
 
 
+class NonMonotone(SecratesError):
+    """The constraint value rose with the secrecy rate beyond its error bars."""
+
+
 class InvalidRates(SecratesError):
     """A secrecy rate exceeds the channel-encoding rate it is carved out of."""
 

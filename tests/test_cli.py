@@ -53,6 +53,23 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"outputs": []}), encoding="utf-8")
         assert main(["--rerun", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"point": {"op": "c_min_closed_form",
+                    "args": {"regime": "pilot_feedback", "R": 1.0, "r_s": 0.5}}},
+         "point.args.regime"),
+        ({"samples": "lots"}, "samples"),
+        ({"point": {"op": "cdf"}}, "point.args.x"),
+        ({"point": {"op": "solve", "args": {"regime": "no_csi"}}}, "point.args.alpha"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
+        data = {"scenario": "point-eval", "channels": FAST_CHANNELS,
+                "point": {"op": "cdf", "args": {"x": 1.0}}}
+        data.update(extra)
+        cfg = write_config(tmp_path / "c.yaml", data)
+        assert main(["--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
 
 class TestDelayLimitedSweep:
     def run_sweep(self, tmp_path, alphas):

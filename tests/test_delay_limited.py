@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from secrates import MonteCarlo, RatePolicy, SystemParams
+from secrates import ChannelTriple, GainDistribution, MonteCarlo, RatePolicy, SystemParams
 from secrates.adversary import CsiRegime, JammingRule, best_response
 from secrates.delay_limited import (
     SearchConfig,
+    _assert_monotone,
     _best_constant_nocsi,
+    _cell_jam_mass,
     c_min_closed_form,
     evaluate_constraint,
     evaluate_constraint_full_duplex,
@@ -15,7 +18,7 @@ from secrates.delay_limited import (
     optimize_policy_pilot,
     solve,
 )
-from secrates.errors import AlphaOutOfRange, PolicyRegimeMismatch, UnsupportedRegime
+from secrates.errors import AlphaOutOfRange, NonMonotone, PolicyRegimeMismatch, UnsupportedRegime
 
 from conftest import det_triple
 
@@ -115,6 +118,67 @@ class TestClosedForm:
         assert abs(rep.c_min - closed) < 3 * rep.std_err + 1e-9
 
 
+def quad_jam_mass(lo, hi, r, sp, dist):
+    """Reference for the cell jam mass: the defining event integrated over
+    H_z by adaptive quadrature, split where the jam threshold
+    c*(1 + p_j*z) crosses a cell edge or the point mass of H_m."""
+    c = (2.0 ** r - 1.0) / sp.p
+
+    def mass(z):  # P[H_m in [lo, hi), H_m >= c*(1 + p_j*z)]
+        t = c * (1.0 + sp.p_j * z)
+        if dist.h_m.is_degenerate:
+            v = dist.h_m.param
+            return float(lo <= v < hi and v >= t)
+        mu = dist.h_m.param
+        return max(math.exp(-max(lo, t) / mu) - math.exp(-hi / mu), 0.0)
+
+    if dist.h_z.is_degenerate:
+        return mass(dist.h_z.param)
+    mu_z = dist.h_z.param
+    cuts = [0.0, math.inf]
+    if c > 0 and sp.p_j > 0:
+        edges = (lo, hi, dist.h_m.param) if dist.h_m.is_degenerate else (lo, hi)
+        cuts += [(x / c - 1.0) / sp.p_j for x in edges if 0 < (x / c - 1.0) / sp.p_j < math.inf]
+    cuts = sorted(cuts)
+    return sum(
+        integrate.quad(lambda z: mass(z) * math.exp(-z / mu_z) / mu_z, a, b,
+                       epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(cuts[:-1], cuts[1:]) if b > a
+    )
+
+
+MAIN_LAWS = {"exp": GainDistribution.exponential(10.0), "det": GainDistribution.deterministic(3.0)}
+JAM_LAWS = {"exp": GainDistribution.exponential(1.0), "exp10": GainDistribution.exponential(10.0),
+            "det": GainDistribution.deterministic(2.0)}
+# (lo, hi, r): r = 0, lo = 0, hi = inf, and a wide last cell whose jam
+# threshold crosses lo far out in the H_z tail
+JAM_CELLS = [(0.0, 2.0, 0.7), (1.5, 6.0, 1.1), (0.0, np.inf, 1.0), (2.5, 4.0, 0.0),
+             (0.0, np.inf, 0.0), (8.6, np.inf, 1.04), (3.0, 3.5, 0.3), (4.0, np.inf, 2.0)]
+
+
+class TestCellJamMassOracle:
+    @pytest.mark.parametrize("h_m", sorted(MAIN_LAWS))
+    @pytest.mark.parametrize("h_z", sorted(JAM_LAWS))
+    @pytest.mark.parametrize("p, p_j", [(1.0, 1.0), (1.0, 0.0), (2.0, 0.5)])
+    def test_matches_quadrature(self, h_m, h_z, p, p_j):
+        sp = SystemParams(p, p_j)
+        dist = ChannelTriple(MAIN_LAWS[h_m], GainDistribution.exponential(1.0), JAM_LAWS[h_z])
+        for lo, hi, r in JAM_CELLS:
+            ref = quad_jam_mass(lo, hi, r, sp, dist)
+            assert float(_cell_jam_mass(lo, hi, r, sp, dist)) == pytest.approx(ref, abs=1e-9)
+        lo, hi, r = map(np.array, zip(*JAM_CELLS))
+        cells = _cell_jam_mass(lo, hi, r, sp, dist)
+        refs = [quad_jam_mass(*cell, sp, dist) for cell in JAM_CELLS]
+        np.testing.assert_allclose(cells, refs, rtol=0, atol=1e-9)
+
+    def test_frozen_fading_jammer_packet_value(self, paper_ergodic_setup):
+        # recorded with the earlier per-cell adaptive-quadrature implementation
+        sp, dist = paper_ergodic_setup
+        policy, _ = optimize_policy_packet(0.78, sp, dist, n_knots=64)
+        c = c_min_closed_form(CsiRegime.PACKET_FEEDBACK, policy, 0.78, sp, dist)
+        assert c == pytest.approx(0.5016122775837583, abs=1e-9)
+
+
 class TestFullDuplexIdentity:
     def test_matches_packet_closed_form(self, paper_delay_setup):
         sp, dist = paper_delay_setup
@@ -196,6 +260,11 @@ class TestSolve:
                  for a in (0.2, 0.4, 0.6)]
         assert rates[0] >= rates[1] >= rates[2]
         assert rates[0] > 0.0
+
+    def test_increasing_history_is_not_monotone(self):
+        with pytest.raises(NonMonotone):
+            _assert_monotone([(0.0, 0.6, 0.0), (0.5, 0.7, 0.0), (1.0, 0.4, 0.0)])
+        _assert_monotone([(0.0, 0.7, 0.0), (0.5, 0.6, 0.0), (1.0, 0.6, 0.0)])
 
     def test_solution_is_feasible_and_tight(self, paper_delay_setup):
         sp, dist = paper_delay_setup
