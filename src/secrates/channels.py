@@ -167,15 +167,18 @@ def expect(
     dist: GainDistribution,
     f: Callable[[np.ndarray], np.ndarray],
     method: MonteCarlo | Quadrature,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float]:
     """Estimate E[f(H)]; returns (value, error_estimate).
 
+    Under quadrature ``f`` may be array-valued: it is called with one
+    scalar gain at a time and the value has the shape of its result.
     The error estimate is the Monte Carlo standard error, or the requested
-    quadrature tolerance.  For a point mass the value is exact and the
-    error is zero.
+    quadrature tolerance, which bounds the error of every element.  For a
+    point mass the value is exact and the error is zero.
     """
     if dist.is_degenerate:
-        return float(np.asarray(f(np.asarray(dist.param)))), 0.0
+        out = np.asarray(f(np.asarray(dist.param)), dtype=float)
+        return (out if out.ndim else float(out)), 0.0
 
     if isinstance(method, MonteCarlo):
         x = dist.from_uniform(_generator(method.seed).random(method.n))
@@ -184,20 +187,17 @@ def expect(
         stderr = float(vals.std(ddof=1) / np.sqrt(method.n))
         return mean, stderr
 
-    # Map [0, inf) to [0, 1) via t = cdf(x), i.e. x = -mu*log(1-t), so the
-    # integrand is f(x(t)) against Lebesgue measure on the unit interval.
+    # f against the exponential density on [0, inf), to an absolute
+    # tolerance on the largest element's error.
     mu = dist.param
-
-    def integrand(t):
-        return float(f(np.asarray(-mu * np.log1p(-t))))
-
-    out = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=method.tol, epsrel=1e-12,
-        limit=method.limit, full_output=1,
+    value, abserr, info = integrate.quad_vec(
+        lambda x: np.asarray(f(np.asarray(x)), dtype=float) * (np.exp(-x / mu) / mu),
+        0.0, np.inf, epsabs=method.tol, epsrel=0.0, norm="max",
+        limit=method.limit, full_output=True,
     )
-    value, abserr = out[0], out[1]
-    if abserr > max(method.tol, abs(value) * 1e-8):
+    if info.status != 0 or abserr > method.tol:
         raise NonConvergence(
             f"quadrature error {abserr:.3g} exceeds tolerance {method.tol:.3g}"
         )
-    return float(value), method.tol
+    value = np.asarray(value, dtype=float)
+    return (value if value.ndim else float(value)), method.tol

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -79,7 +78,7 @@ def _parse_axis(section, where: str) -> np.ndarray:
         start, stop, num = float(section["start"]), float(section["stop"]), int(section["num"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected start/stop/num ({exc})") from exc
-    if num < 1 or start <= 0 or stop < start:
+    if num < 1 or start <= 0 or stop < start or (num > 1 and stop == start):
         raise ConfigError(f"{where}: axis must be positive and increasing")
     if section.get("spacing", "log") == "log":
         return np.geomspace(start, stop, num)
@@ -152,8 +151,12 @@ def _resolve(config: dict) -> dict:
     if scenario != "delay-limited-sweep":
         if "hz_star" in config:
             out["hz_star"] = _coerce(float, config["hz_star"], "hz_star")
+            if not out["hz_star"] >= 0.0:
+                raise ConfigError("hz_star: must be >= 0")
         elif "hz_quantile" in config or scenario == "ergodic-region":
             out["hz_quantile"] = _coerce(float, config.get("hz_quantile", 0.75), "hz_quantile")
+            if not 0.0 < out["hz_quantile"] < 1.0:
+                raise ConfigError("hz_quantile: must lie in (0, 1)")
     return out
 
 
@@ -174,11 +177,6 @@ def _hz_star(resolved, dist_z: GainDistribution) -> float:
     if "hz_star" in resolved:
         return float(resolved["hz_star"])
     return float(dist_z.ppf(resolved.get("hz_quantile", 0.75)))
-
-
-def _max_workers() -> int | None:
-    raw = os.environ.get("SECRATES_MAX_WORKERS")
-    return int(raw) if raw else None
 
 
 def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str],
@@ -241,9 +239,6 @@ def run_ergodic_region(resolved: dict, out_dir: Path) -> int:
         h_z=dist.h_z,
         hz_quantile=resolved.get("hz_quantile"),
         hz_star=resolved.get("hz_star"),
-        mc_n=resolved["samples"],
-        seed=resolved["seed"],
-        max_workers=_max_workers(),
     )
     t0 = time.monotonic()
     region = dominance_region(he, hm, rcfg)
@@ -312,11 +307,14 @@ def run_point_eval(resolved: dict, out_dir: Path) -> int:
         cfg = ErgodicConfig(sp, dist, _hz_star(resolved, dist.h_z))
         fn = {"rate_nocsi": rate_nocsi, "rate_upper_bound": rate_upper_bound,
               "rate_arq": rate_arq}[op]
-        value, err = fn(cfg, mc_n=resolved["samples"])
+        value, err = fn(cfg)
         print(f"{op} = {value!r} +- {err!r}")
     elif op == "c_min_closed_form":
         reg = regime()
-        policy = RatePolicy.constant(arg("R"))
+        rate = arg("R")
+        if not rate >= 0.0:
+            raise ConfigError("point.args.R: must be >= 0")
+        policy = RatePolicy.constant(rate)
         try:
             value = c_min_closed_form(reg, policy, arg("r_s"), sp, dist)
         except UnsupportedRegime as exc:

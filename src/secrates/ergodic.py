@@ -6,27 +6,42 @@ jamming-gain design threshold, and the rate of the plain ARQ variant of
 block-by-block encoding.  The dominance region marks, over a grid of
 mean channel gains, where encoding across blocks beats the block-by-block
 upper bound.
+
+All rest on A = log2(1 + k H_m), k = p/(1 + p_j H_z), and B = log2(1 + p H_e).
+Let g(x) = e^x E1(x), s_a = k m, s_b = p e, c_a = 1/s_a and c_b = 1/s_b,
+where m and e are the exponential means or point-mass values of H_m and
+H_e.  Given H_z, E[A] is g(c_a)/ln 2 for an exponential H_m and
+log2(1 + s_a) for a point mass (likewise E[B]), and E[(A - B)^+], the
+integral over t >= 0 of P(B <= t) P(A > t), is for the (H_m, H_e) laws
+  Exp/Exp: (g(c_a) - g(c_a + c_b))/ln 2,
+  Det/Exp: log2(1 + s_a) - (g(c_b) - e^{-c_b s_a} g(c_b (1 + s_a)))/ln 2,
+  Exp/Det: e^{-c_a s_b} g(c_a (1 + s_b))/ln 2,
+  Det/Det: (log2(1 + s_a) - log2(1 + s_b))^+.
+So a rate is one quadrature over H_z, or none when H_z is a point mass.
+``method=MonteCarlo(...)`` instead averages one sampled batch, an oracle
+for the closed forms.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .channels import (
+    EXPONENTIAL,
     ChannelTriple,
     GainDistribution,
     MonteCarlo,
     Quadrature,
     expect,
     sample,
-    substream,
 )
 from .phy_rates import SystemParams
 
-_DEFAULT_SEED = 171717
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -50,52 +65,61 @@ class ErgodicRates:
     err_arq: float
 
 
-def _expect_joint(f, dists, method):
-    """E[f(X1, X2, ...)] over independent gains.
-
-    Monte Carlo draws one joint batch; quadrature integrates the
-    nondegenerate coordinates as nested 1-D integrals (fragile beyond two
-    fading axes, which is why Monte Carlo is the default there).
-    """
-    degenerate = [d.is_degenerate for d in dists]
-    if all(degenerate):
-        return float(np.asarray(f(*[np.asarray(d.param) for d in dists]))), 0.0
-
-    if isinstance(method, MonteCarlo):
-        padded = list(dists) + [GainDistribution.deterministic(0.0)] * (3 - len(dists))
-        batch = sample(ChannelTriple(*padded), method.seed, method.n)
-        xs = [batch.values[:, i] for i in range(len(dists))]
-        vals = np.asarray(f(*xs), dtype=float)
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(method.n))
-
-    idx = degenerate.index(False)
-    inner_dists = list(dists)
-
-    def outer(x):
-        fixed = float(x)
-
-        def g(*rest):
-            args = list(rest[:idx]) + [np.asarray(fixed)] + list(rest[idx:])
-            return f(*args)
-
-        sub = inner_dists[:idx] + inner_dists[idx + 1:]
-        if not sub:
-            return float(np.asarray(f(np.asarray(fixed))))
-        val, _ = _expect_joint(g, sub, Quadrature(tol=method.tol * 0.5))
-        return val
-
-    return expect(dists[idx], outer, method)
-
-
-def _default_method(dists, mc_seed, mc_n):
-    n_fading = sum(not d.is_degenerate for d in dists)
-    if n_fading <= 1:
-        return Quadrature(tol=1e-9)
-    return MonteCarlo(seed=mc_seed, n=mc_n)
-
-
 def _diff(sp: SystemParams, h_m, h_e, h_z):
     return np.log2(1.0 + sp.p * h_m / (1.0 + sp.p_j * h_z)) - np.log2(1.0 + sp.p * h_e)
+
+
+def _g(x):
+    """e^x E1(x), so that E[log2(1 + a X)] = g(1/a)/ln 2 for X ~ Exp(1).
+
+    Past x = 700, where e^x overflows, the asymptotic series
+    1/x - 1/x^2 + 2/x^3 - 6/x^4 (relative error below 1e-10); g(inf) = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    big = x > 700.0
+    xs = np.where(big, 1.0, x)
+    r = 1.0 / np.where(big, x, 1.0)
+    return np.where(big, r * (1.0 - r * (1.0 - 2.0 * r * (1.0 - 3.0 * r))),
+                    np.exp(xs) * special.exp1(xs))
+
+
+def _gap_moments(sp: SystemParams, m_kind: str, m, e_kind: str, e, z):
+    """(E[A - B], E[(A - B)^+]) given H_z = z by the module's closed forms.
+
+    ``m`` and ``e`` broadcast against each other and against ``z``.
+    """
+    jam = 1.0 + sp.p_j * np.asarray(z, dtype=float)
+    s_a, s_b = sp.p * m / jam, np.asarray(sp.p * e, dtype=float)
+    with np.errstate(divide="ignore"):  # p = 0: c is infinite and g(inf) = 0
+        c_a, c_b = 1.0 / s_a, 1.0 / s_b
+    exp_m, exp_e = m_kind == EXPONENTIAL, e_kind == EXPONENTIAL
+    mean_a = _g(c_a) / _LN2 if exp_m else np.log2(1.0 + s_a)
+    mean_b = _g(c_b) / _LN2 if exp_e else np.log2(1.0 + s_b)
+    # c_b s_a and c_a s_b are written without p, so p = 0 gives no inf * 0
+    if exp_m and exp_e:
+        pos = (_g(c_a) - _g(c_a + c_b)) / _LN2
+    elif exp_e:
+        cs = m / (jam * e)
+        pos = mean_a - (_g(c_b) - np.exp(-cs) * _g(c_b + cs)) / _LN2
+    elif exp_m:
+        cs = jam * e / m
+        pos = np.exp(-cs) * _g(c_a + cs) / _LN2
+    else:
+        pos = np.maximum(mean_a - mean_b, 0.0)
+    return mean_a - mean_b, pos
+
+
+def _expect_gap(sp: SystemParams, dist: ChannelTriple, positive: bool, method):
+    """E[A - B], or E[(A - B)^+] when ``positive``, with its error bar."""
+    if isinstance(method, MonteCarlo):
+        batch = sample(dist, method.seed, method.n)
+        vals = _diff(sp, batch.h_m, batch.h_e, batch.h_z)
+        if positive:
+            vals = np.maximum(vals, 0.0)
+        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(method.n))
+    laws = (dist.h_m.kind, dist.h_m.param, dist.h_e.kind, dist.h_e.param)
+    return expect(dist.h_z, lambda z: _gap_moments(sp, *laws, z)[int(positive)],
+                  method or Quadrature())
 
 
 def rate_nocsi(
@@ -103,12 +127,14 @@ def rate_nocsi(
     method: MonteCarlo | Quadrature | None = None,
     mc_n: int = 1_000_000,
 ) -> tuple[float, float]:
-    """Rate of encoding across blocks with no CSI: positive part of the
-    mean capacity advantage over the always-jamming / eavesdropping mix."""
-    sp, dist = cfg.sp, cfg.dist
-    dists = [dist.h_m, dist.h_e, dist.h_z]
-    method = method or _default_method(dists, substream(_DEFAULT_SEED, 1), mc_n)
-    value, err = _expect_joint(lambda m, e, z: _diff(sp, m, e, z), dists, method)
+    """Rate of encoding across blocks with no CSI: max(E[A - B], 0), the
+    positive part of the mean capacity advantage over the always-jamming /
+    eavesdropping mix.
+
+    By default one quadrature over H_z of the closed form given H_z, with
+    the quadrature tolerance as error bar.  ``mc_n`` is ignored.
+    """
+    value, err = _expect_gap(cfg.sp, cfg.dist, False, method)
     return max(value, 0.0), err
 
 
@@ -118,14 +144,12 @@ def rate_upper_bound(
     mc_n: int = 1_000_000,
 ) -> tuple[float, float]:
     """Upper bound for any block-by-block scheme with threshold hz_star:
-    mean of the per-block positive part, scaled by P[H_z <= hz_star]."""
-    sp, dist = cfg.sp, cfg.dist
-    dists = [dist.h_m, dist.h_e, dist.h_z]
-    method = method or _default_method(dists, substream(_DEFAULT_SEED, 2), mc_n)
-    value, err = _expect_joint(
-        lambda m, e, z: np.maximum(_diff(sp, m, e, z), 0.0), dists, method
-    )
-    scale = float(dist.h_z.cdf(cfg.hz_star))
+    E[(A - B)^+] P[H_z <= hz_star].
+
+    Evaluated as ``rate_nocsi`` is; ``mc_n`` is ignored.
+    """
+    value, err = _expect_gap(cfg.sp, cfg.dist, True, method)
+    scale = float(cfg.dist.h_z.cdf(cfg.hz_star))
     return value * scale, err * scale
 
 
@@ -136,28 +160,24 @@ def rate_arq(
 ) -> tuple[float, float]:
     """Rate of the plain ARQ block-by-block scheme: the jamming gain in
     the expectation is pinned at hz_star and the probability factor is
-    squared (one feedback round per retransmission)."""
-    sp, dist = cfg.sp, cfg.dist
-    dists = [dist.h_m, dist.h_e]
-    method = method or _default_method(dists, substream(_DEFAULT_SEED, 3), mc_n)
-    value, err = _expect_joint(
-        lambda m, e: np.maximum(_diff(sp, m, e, np.asarray(cfg.hz_star)), 0.0),
-        dists,
-        method,
-    )
+    squared (one feedback round per retransmission).
+
+    By default the closed form E[(A - B)^+ | H_z = hz_star], exact, with
+    a zero error bar; ``mc_n`` is ignored.
+    """
+    dist = cfg.dist
+    pinned = ChannelTriple(dist.h_m, dist.h_e, GainDistribution.deterministic(cfg.hz_star))
+    value, err = _expect_gap(cfg.sp, pinned, True, method)
     scale = float(dist.h_z.cdf(cfg.hz_star)) ** 2
     return value * scale, err * scale
 
 
 def rates(cfg: ErgodicConfig, mc_n: int = 1_000_000) -> ErgodicRates:
-    rn, en = rate_nocsi(cfg, mc_n=mc_n)
-    ru, eu = rate_upper_bound(cfg, mc_n=mc_n)
-    ra, ea = rate_arq(cfg, mc_n=mc_n)
+    """All three rates by their default methods; ``mc_n`` is ignored."""
+    rn, en = rate_nocsi(cfg)
+    ru, eu = rate_upper_bound(cfg)
+    ra, ea = rate_arq(cfg)
     return ErgodicRates(rn, ru, ra, en, eu, ea)
-
-
-class NoCrossing(Exception):
-    """One strategy dominates over the whole grid column."""
 
 
 @dataclass(frozen=True)
@@ -170,12 +190,14 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class RegionConfig:
+    """Region settings; ``mc_n``, ``seed`` and ``max_workers`` are ignored."""
+
     sp: SystemParams
     h_z: GainDistribution
     hz_quantile: float | None = 0.75
     hz_star: float | None = None
     mc_n: int = 200_000
-    seed: int = _DEFAULT_SEED
+    seed: int = 171717
     max_workers: int | None = None
 
     def resolve_hz_star(self) -> float:
@@ -195,22 +217,13 @@ class RegionResult:
     boundary: list[BoundaryPoint]
 
 
-def _point_rates(sp, h_z, hz_star, e_he, e_hm, seed, mc_n):
-    dist = ChannelTriple(
-        GainDistribution.exponential(e_hm), GainDistribution.exponential(e_he), h_z
-    )
-    cfg = ErgodicConfig(sp, dist, hz_star)
-    rn, en = rate_nocsi(cfg, MonteCarlo(substream(seed, 1), mc_n))
-    ru, eu = rate_upper_bound(cfg, MonteCarlo(substream(seed, 2), mc_n))
-    return rn, ru, en, eu
-
-
 def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
-    """Rate grid plus, per E[H_e] column, the E[H_m] where the two
-    encoding strategies tie (found by bisection on the continuous axis).
+    """Rate grid for exponential H_m and H_e plus, per E[H_e] row, the
+    E[H_m] where the two encoding strategies tie (found by bisection on
+    the continuous axis, all rows at once).
 
-    Grid points carry independent deterministic seeds, so results do not
-    depend on the worker count.
+    The grid is one array-valued quadrature over H_z, and each bisection
+    step is one more.
     """
     he_means = np.asarray(he_means, dtype=float)
     hm_means = np.asarray(hm_means, dtype=float)
@@ -218,50 +231,33 @@ def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
         raise ValueError("grid axes must be positive")
     if np.any(np.diff(he_means) <= 0) or np.any(np.diff(hm_means) <= 0):
         raise ValueError("grid axes must be strictly increasing")
-    hz_star = cfg.resolve_hz_star()
+    scale = float(cfg.h_z.cdf(cfg.resolve_hz_star()))
 
-    cells = [(i, j) for i in range(he_means.size) for j in range(hm_means.size)]
-
-    def run_cell(ij):
-        i, j = ij
-        return _point_rates(
-            cfg.sp, cfg.h_z, hz_star, he_means[i], hm_means[j],
-            substream(cfg.seed, i, j), cfg.mc_n,
+    def rates_at(e_hm, e_he):
+        moments, err = expect(
+            cfg.h_z,
+            lambda z: np.stack(_gap_moments(cfg.sp, EXPONENTIAL, e_hm, EXPONENTIAL, e_he, z)),
+            Quadrature(),
         )
+        return np.maximum(moments[0], 0.0), moments[1] * scale, err, err * scale
 
-    with ThreadPoolExecutor(max_workers=cfg.max_workers or 4) as pool:
-        results = list(pool.map(run_cell, cells))
+    rn, ru, en, eu = rates_at(hm_means[None, :], he_means[:, None])
+    gap_lo, gap_hi = rn[:, 0] - ru[:, 0], rn[:, -1] - ru[:, -1]
+    rows = np.flatnonzero((gap_lo * gap_hi <= 0) & (hm_means.size >= 2))
 
-    shape = (he_means.size, hm_means.size)
-    rn = np.empty(shape)
-    ru = np.empty(shape)
-    en = np.empty(shape)
-    eu = np.empty(shape)
-    for (i, j), (a, b, ea_, eb_) in zip(cells, results):
-        rn[i, j], ru[i, j], en[i, j], eu[i, j] = a, b, ea_, eb_
+    lo = np.full(rows.size, hm_means[0])
+    hi = np.full(rows.size, hm_means[-1])
+    gap_err = 0.0
+    while rows.size and hi[0] - lo[0] > 1e-3 * (hm_means[-1] - hm_means[0]):
+        mid = 0.5 * (lo + hi)
+        a, b, ea, eb = rates_at(mid, he_means[rows])
+        gap_err = float(np.hypot(ea, eb))
+        below = (a - b) * gap_lo[rows] <= 0
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
 
-    boundary = []
-    for i, e_he in enumerate(he_means):
-        gap_lo = rn[i, 0] - ru[i, 0]
-        gap_hi = rn[i, -1] - ru[i, -1]
-        if hm_means.size < 2 or gap_lo * gap_hi > 0:
-            boundary.append(BoundaryPoint(float(e_he), None, "no_crossing", 0.0))
-            continue
-        lo, hi = float(hm_means[0]), float(hm_means[-1])
-        gap_err = 0.0
-        step = 0
-        while hi - lo > 1e-3 * (hm_means[-1] - hm_means[0]):
-            mid = 0.5 * (lo + hi)
-            a, b, ea_, eb_ = _point_rates(
-                cfg.sp, cfg.h_z, hz_star, e_he, mid,
-                substream(cfg.seed, i, 100_000 + step), cfg.mc_n,
-            )
-            step += 1
-            gap_err = float(np.hypot(ea_, eb_))
-            if (a - b) * gap_lo <= 0:
-                hi = mid
-            else:
-                lo = mid
-        boundary.append(BoundaryPoint(float(e_he), 0.5 * (lo + hi), "ok", gap_err))
-
+    boundary = [BoundaryPoint(float(e_he), None, "no_crossing", 0.0) for e_he in he_means]
+    for i, e_hm in zip(rows, 0.5 * (lo + hi)):
+        boundary[i] = BoundaryPoint(float(he_means[i]), float(e_hm), "ok", gap_err)
+    en, eu = np.full(rn.shape, en), np.full(rn.shape, eu)
     return RegionResult(he_means, hm_means, rn, ru, en, eu, boundary)

@@ -138,6 +138,21 @@ class TestExpect:
         v_q, e_q = expect(d, f, Quadrature(1e-8))
         assert abs(v_mc - v_q) < 3 * math.hypot(e_mc, e_q) + 1e-7
 
+    def test_indicator_vs_closed_form(self):
+        # P[X <= 1.3] for X ~ Exp(0.5) is 1 - e^{-2.6}
+        val, err = expect(GainDistribution.exponential(0.5),
+                          lambda x: (x <= 1.3).astype(float), Quadrature(1e-8))
+        assert val == pytest.approx(-math.expm1(-2.6), abs=1e-8)
+
+    def test_array_valued_matches_scalar(self):
+        d = GainDistribution.exponential(2.0)
+        scales = np.array([0.1, 1.0, 30.0])
+        vals, err = expect(d, lambda x: np.log2(1 + scales * x), Quadrature(1e-9))
+        assert vals.shape == (3,)
+        for a, v in zip(scales, vals):
+            ref, _ = expect(d, lambda x: np.log2(1 + a * x), Quadrature(1e-9))
+            assert v == pytest.approx(ref, abs=2e-9)
+
     def test_nonconvergence(self):
         d = GainDistribution.exponential(1.0)
         # a wildly oscillating integrand with a tolerance quad cannot meet

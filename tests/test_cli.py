@@ -60,6 +60,17 @@ class TestConfigErrors:
         ({"samples": "lots"}, "samples"),
         ({"point": {"op": "cdf"}}, "point.args.x"),
         ({"point": {"op": "solve", "args": {"regime": "no_csi"}}}, "point.args.alpha"),
+        ({"point": {"op": "c_min_closed_form", "args": {"R": -1.0, "r_s": 0.5}}},
+         "point.args.R"),
+        ({"scenario": "ergodic-region", "hz_quantile": 1.5,
+          "grid": {"he": {"start": 1.0, "stop": 2.0, "num": 2},
+                   "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "hz_quantile"),
+        ({"scenario": "ergodic-region", "hz_star": -1.0,
+          "grid": {"he": {"start": 1.0, "stop": 2.0, "num": 2},
+                   "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "hz_star"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": 1.0, "stop": 1.0, "num": 2},
+                   "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
         data = {"scenario": "point-eval", "channels": FAST_CHANNELS,

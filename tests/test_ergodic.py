@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,15 +18,19 @@ from secrates.ergodic import (
 from conftest import det_triple, exp_triple
 
 
-def mc_oracle_rates(sp, means, hz_star, n=10**6, seed=1234):
+def pcg64_oracle_rates(sp, dist, hz_star, n=10**6, seed=1234):
     """Independent Monte Carlo oracle using a different generator family
     (PCG64) and direct exponential sampling, no shared code paths."""
     rng = np.random.default_rng(seed)
-    h_m = rng.exponential(means[0], n)
-    h_e = rng.exponential(means[1], n)
-    h_z = rng.exponential(means[2], n)
+    h_m, h_e, h_z = (
+        rng.exponential(d.param, n) if d.kind == "exponential" else np.full(n, d.param)
+        for d in (dist.h_m, dist.h_e, dist.h_z)
+    )
+    if dist.h_z.kind == "exponential":
+        p_ok = 1 - math.exp(-hz_star / dist.h_z.param)
+    else:
+        p_ok = float(hz_star >= dist.h_z.param)
     diff = np.log2(1 + sp.p * h_m / (1 + sp.p_j * h_z)) - np.log2(1 + sp.p * h_e)
-    p_ok = 1 - math.exp(-hz_star / means[2])
     diff_pin = np.log2(1 + sp.p * h_m / (1 + sp.p_j * hz_star)) - np.log2(1 + sp.p * h_e)
     return {
         "nocsi": (max(diff.mean(), 0.0), diff.std(ddof=1) / math.sqrt(n)),
@@ -34,6 +39,10 @@ def mc_oracle_rates(sp, means, hz_star, n=10**6, seed=1234):
         "arq": (np.maximum(diff_pin, 0).mean() * p_ok**2,
                 np.maximum(diff_pin, 0).std(ddof=1) / math.sqrt(n) * p_ok**2),
     }
+
+
+def mc_oracle_rates(sp, means, hz_star, n=10**6, seed=1234):
+    return pcg64_oracle_rates(sp, exp_triple(*means), hz_star, n, seed)
 
 
 class TestEdgeCases:
@@ -86,6 +95,29 @@ class TestAgainstIndependentOracle:
             val, err = fn(cfg, mc_n=10**6)
             ref, ref_err = oracle[key]
             assert abs(val - ref) < 3 * math.hypot(err, ref_err) + 1e-6, key
+
+    @pytest.mark.parametrize("laws", list(itertools.product(("exp", "det"), repeat=3)),
+                             ids="-".join)
+    def test_law_combinations(self, laws):
+        # exponential means or point-mass values 10, 1, 1 for H_m, H_e, H_z
+        sp = SystemParams(1.0, 1.0)
+        make = {"exp": GainDistribution.exponential, "det": GainDistribution.deterministic}
+        dist = ChannelTriple(*(make[k](v) for k, v in zip(laws, (10.0, 1.0, 1.0))))
+        hz_star = float(dist.h_z.ppf(0.75))
+        oracle = pcg64_oracle_rates(sp, dist, hz_star)
+        cfg = ErgodicConfig(sp, dist, hz_star)
+        for fn, key in ((rate_nocsi, "nocsi"), (rate_upper_bound, "upper"),
+                        (rate_arq, "arq")):
+            val, err = fn(cfg)
+            ref, ref_err = oracle[key]
+            assert abs(val - ref) < 3 * math.hypot(err, ref_err) + 1e-6, key
+
+    def test_paper_values_frozen(self, paper_ergodic_setup):
+        sp, dist = paper_ergodic_setup
+        cfg = ErgodicConfig(sp, dist, dist.h_z.ppf(0.75))
+        assert rate_nocsi(cfg)[0] == pytest.approx(1.4131719801, abs=1e-9)
+        assert rate_upper_bound(cfg)[0] == pytest.approx(1.1341860136, abs=1e-9)
+        assert rate_arq(cfg)[0] == pytest.approx(0.6960138324, abs=1e-9)
 
 
 class TestOrderings:
