@@ -109,17 +109,26 @@ def _gap_moments(sp: SystemParams, m_kind: str, m, e_kind: str, e, z):
     return mean_a - mean_b, pos
 
 
-def _expect_gap(sp: SystemParams, dist: ChannelTriple, positive: bool, method):
-    """E[A - B], or E[(A - B)^+] when ``positive``, with its error bar."""
+def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale, method=None):
+    """(max(E[A - B], 0), E[(A - B)^+] scale, err of the first, err of the second).
+
+    ``laws`` is (kind of H_m, its param, kind of H_e, its param); the params
+    may be arrays that broadcast, except under ``MonteCarlo``.
+    """
     if isinstance(method, MonteCarlo):
-        batch = sample(dist, method.seed, method.n)
-        vals = _diff(sp, batch.h_m, batch.h_e, batch.h_z)
-        if positive:
-            vals = np.maximum(vals, 0.0)
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(method.n))
-    laws = (dist.h_m.kind, dist.h_m.param, dist.h_e.kind, dist.h_e.param)
-    return expect(dist.h_z, lambda z: _gap_moments(sp, *laws, z)[int(positive)],
-                  method or Quadrature())
+        dist = ChannelTriple(GainDistribution(*laws[:2]), GainDistribution(*laws[2:]), h_z)
+        diff = _diff(sp, *sample(dist, method.seed, method.n).values.T)
+        vals = np.stack([diff, np.maximum(diff, 0.0)])
+        moments, errs = vals.mean(axis=1), vals.std(ddof=1, axis=1) / np.sqrt(method.n)
+    else:
+        moments, err = expect(h_z, lambda z: np.stack(_gap_moments(sp, *laws, z)),
+                              method or Quadrature())
+        errs = (err, err)
+    return np.maximum(moments[0], 0.0), moments[1] * scale, errs[0], errs[1] * scale
+
+
+def _laws(dist: ChannelTriple) -> tuple:
+    return (dist.h_m.kind, dist.h_m.param, dist.h_e.kind, dist.h_e.param)
 
 
 def rate_nocsi(
@@ -134,8 +143,8 @@ def rate_nocsi(
     By default one quadrature over H_z of the closed form given H_z, with
     the quadrature tolerance as error bar.  ``mc_n`` is ignored.
     """
-    value, err = _expect_gap(cfg.sp, cfg.dist, False, method)
-    return max(value, 0.0), err
+    value, _, err, _ = _rate_pair(cfg.sp, _laws(cfg.dist), cfg.dist.h_z, 1.0, method)
+    return float(value), float(err)
 
 
 def rate_upper_bound(
@@ -148,9 +157,9 @@ def rate_upper_bound(
 
     Evaluated as ``rate_nocsi`` is; ``mc_n`` is ignored.
     """
-    value, err = _expect_gap(cfg.sp, cfg.dist, True, method)
-    scale = float(cfg.dist.h_z.cdf(cfg.hz_star))
-    return value * scale, err * scale
+    h_z = cfg.dist.h_z
+    _, value, _, err = _rate_pair(cfg.sp, _laws(cfg.dist), h_z, h_z.cdf(cfg.hz_star), method)
+    return float(value), float(err)
 
 
 def rate_arq(
@@ -165,11 +174,10 @@ def rate_arq(
     By default the closed form E[(A - B)^+ | H_z = hz_star], exact, with
     a zero error bar; ``mc_n`` is ignored.
     """
-    dist = cfg.dist
-    pinned = ChannelTriple(dist.h_m, dist.h_e, GainDistribution.deterministic(cfg.hz_star))
-    value, err = _expect_gap(cfg.sp, pinned, True, method)
-    scale = float(dist.h_z.cdf(cfg.hz_star)) ** 2
-    return value * scale, err * scale
+    pinned = GainDistribution.deterministic(cfg.hz_star)
+    scale = cfg.dist.h_z.cdf(cfg.hz_star) ** 2
+    _, value, _, err = _rate_pair(cfg.sp, _laws(cfg.dist), pinned, scale, method)
+    return float(value), float(err)
 
 
 def rates(cfg: ErgodicConfig, mc_n: int = 1_000_000) -> ErgodicRates:
@@ -234,12 +242,7 @@ def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
     scale = float(cfg.h_z.cdf(cfg.resolve_hz_star()))
 
     def rates_at(e_hm, e_he):
-        moments, err = expect(
-            cfg.h_z,
-            lambda z: np.stack(_gap_moments(cfg.sp, EXPONENTIAL, e_hm, EXPONENTIAL, e_he, z)),
-            Quadrature(),
-        )
-        return np.maximum(moments[0], 0.0), moments[1] * scale, err, err * scale
+        return _rate_pair(cfg.sp, (EXPONENTIAL, e_hm, EXPONENTIAL, e_he), cfg.h_z, scale)
 
     rn, ru, en, eu = rates_at(hm_means[None, :], he_means[:, None])
     gap_lo, gap_hi = rn[:, 0] - ru[:, 0], rn[:, -1] - ru[:, -1]

@@ -153,6 +153,24 @@ class TestExpect:
             ref, _ = expect(d, lambda x: np.log2(1 + a * x), Quadrature(1e-9))
             assert v == pytest.approx(ref, abs=2e-9)
 
+    @pytest.mark.parametrize("mean", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scale_of_mean(self, mean):
+        # the rule must not depend on the scale of the mean: a density that
+        # underflows at every node would make E[1] read 0 with no error
+        d = GainDistribution.exponential(mean)
+        one, _ = expect(d, lambda x: np.ones_like(x), Quadrature(1e-9))
+        assert one == pytest.approx(1.0, abs=1e-9)
+        first, err = expect(d, lambda x: x, Quadrature(1e-9))
+        assert first == pytest.approx(mean, rel=1e-9)
+        assert err >= 1e-9
+        # E[log2(1 + X)] = e^x E1(x) / ln 2 at x = 1/mean, by the series for
+        # a small x and by the asymptotic series for a large one
+        x = 1 / mean
+        g = (math.exp(x) * exp_integral_series(x) if x < 1
+             else sum((-1) ** k * math.factorial(k) / x ** (k + 1) for k in range(5)))
+        val, _ = expect(d, lambda x: np.log2(1 + x), Quadrature(1e-9))
+        assert val == pytest.approx(g / math.log(2), abs=1e-9)
+
     def test_nonconvergence(self):
         d = GainDistribution.exponential(1.0)
         # a wildly oscillating integrand with a tolerance quad cannot meet

@@ -78,6 +78,21 @@ class TestEdgeCases:
         val, _ = rate_arq(cfg, mc_n=100_000)
         assert val < 1e-3
 
+    def test_weak_jammer_link(self):
+        # H_z ~ Exp(1e-6) is within p_j E[H_z] / ln 2 of no jamming at all
+        sp = SystemParams(1.0, 1.0)
+        h_m, h_e = GainDistribution.exponential(10.0), GainDistribution.exponential(1.0)
+        weak, none = GainDistribution.exponential(1e-6), GainDistribution.deterministic(0.0)
+        for fn in (rate_nocsi, rate_upper_bound):
+            val, _ = fn(ErgodicConfig(sp, ChannelTriple(h_m, h_e, weak), hz_star=1.0))
+            ref, _ = fn(ErgodicConfig(sp, ChannelTriple(h_m, h_e, none), hz_star=1.0))
+            assert val == pytest.approx(ref, abs=2e-6)
+        axes = ([0.5, 2.0], [1.0, 10.0])
+        got = dominance_region(*axes, RegionConfig(sp, weak, hz_star=1.0))
+        ref = dominance_region(*axes, RegionConfig(sp, none, hz_star=1.0))
+        np.testing.assert_allclose(got.r_nocsi, ref.r_nocsi, atol=2e-6)
+        np.testing.assert_allclose(got.r_upper, ref.r_upper, atol=2e-6)
+
     def test_negative_threshold_rejected(self, paper_ergodic_setup):
         sp, dist = paper_ergodic_setup
         with pytest.raises(ValueError):
