@@ -33,10 +33,6 @@ class CsiRegime(Enum):
             CsiRegime.PILOT_FEEDBACK: frozenset({"h_e", "h_z"}),
         }[self]
 
-    @property
-    def transmitter_observables(self) -> frozenset[str]:
-        return frozenset() if self is CsiRegime.NO_CSI else frozenset({"h_m"})
-
 
 @dataclass(frozen=True)
 class JammingRule:
@@ -199,11 +195,10 @@ def best_response(
     r_s: float,
     sp: SystemParams,
     dist: ChannelTriple,
-    **kwargs,
 ) -> JammingRule:
     """Dispatch to the regime's best-response constructor."""
     if regime is CsiRegime.NO_CSI:
         return best_response_nocsi(policy, r_s, sp, dist)
     if regime is CsiRegime.PACKET_FEEDBACK:
         return best_response_packet(policy, r_s, sp, dist)
-    return best_response_pilot(policy, r_s, sp, dist, **kwargs)
+    return best_response_pilot(policy, r_s, sp, dist)

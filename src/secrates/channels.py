@@ -29,11 +29,11 @@ class GainDistribution:
 
     def __post_init__(self):
         if self.kind == EXPONENTIAL:
-            if not self.param > 0:
-                raise ValueError("exponential mean must be positive")
+            if not 0 < self.param < np.inf:
+                raise ValueError("exponential mean must be positive and finite")
         elif self.kind == DETERMINISTIC:
-            if self.param < 0:
-                raise ValueError("deterministic gain must be nonnegative")
+            if not 0 <= self.param < np.inf:
+                raise ValueError("deterministic gain must be nonnegative and finite")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -48,10 +48,6 @@ class GainDistribution:
     @property
     def is_degenerate(self) -> bool:
         return self.kind == DETERMINISTIC
-
-    @property
-    def mean(self) -> float:
-        return self.param
 
     def cdf(self, x):
         """P[H <= x]; right-continuous."""

@@ -76,10 +76,10 @@ def _parse_gain(section, where: str) -> GainDistribution:
 def _parse_axis(section, where: str) -> np.ndarray:
     try:
         start, stop, num = float(section["start"]), float(section["stop"]), int(section["num"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected start/stop/num ({exc})") from exc
-    if num < 1 or start <= 0 or stop < start or (num > 1 and stop == start):
-        raise ConfigError(f"{where}: axis must be positive and increasing")
+    if not (num >= 1 and 0 < start <= stop < np.inf and (num == 1 or stop > start)):
+        raise ConfigError(f"{where}: axis must be finite, positive and increasing")
     if section.get("spacing", "log") == "log":
         return np.geomspace(start, stop, num)
     return np.linspace(start, stop, num)
@@ -89,7 +89,7 @@ def _coerce(kind, value, where: str):
     """``kind(value)``, or a ConfigError naming the key."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -117,6 +117,8 @@ def _resolve(config: dict) -> dict:
         "rate_tol": _coerce(float, config.get("rate_tol", 1e-4), "rate_tol"),
     }
     # validate eagerly so errors name the offending key
+    if not isinstance(out["channels"], dict):
+        raise ConfigError("channels: expected a mapping")
     for name in ("h_m", "h_e", "h_z"):
         if name not in out["channels"]:
             raise ConfigError(f"channels.{name}: missing")
@@ -127,6 +129,10 @@ def _resolve(config: dict) -> dict:
         raise ConfigError(f"power: {exc}") from exc
     if out["samples"] < 1:
         raise ConfigError("samples: must be >= 1")
+    if out["seed"] < 0:
+        raise ConfigError("seed: must be >= 0")
+    if not out["rate_tol"] > 0.0:
+        raise ConfigError("rate_tol: must be > 0")
 
     if scenario == "delay-limited-sweep":
         alphas = config.get("alphas")
@@ -151,8 +157,8 @@ def _resolve(config: dict) -> dict:
     if scenario != "delay-limited-sweep":
         if "hz_star" in config:
             out["hz_star"] = _coerce(float, config["hz_star"], "hz_star")
-            if not out["hz_star"] >= 0.0:
-                raise ConfigError("hz_star: must be >= 0")
+            if not 0.0 <= out["hz_star"] < np.inf:
+                raise ConfigError("hz_star: must be finite and >= 0")
         elif "hz_quantile" in config or scenario == "ergodic-region":
             out["hz_quantile"] = _coerce(float, config.get("hz_quantile", 0.75), "hz_quantile")
             if not 0.0 < out["hz_quantile"] < 1.0:
@@ -246,11 +252,8 @@ def run_ergodic_region(resolved: dict, out_dir: Path) -> int:
     grid_rows = []
     for i, e_he in enumerate(region.he_means):
         for j, e_hm in enumerate(region.hm_means):
-            winner = (
-                "across_blocks"
-                if region.r_nocsi[i, j] > region.r_upper[i, j]
-                else "block_by_block"
-            )
+            gap = region.r_nocsi[i, j] - region.r_upper[i, j]
+            winner = "across_blocks" if gap > 0 else "block_by_block" if gap < 0 else "tie"
             grid_rows.append(
                 [e_he, e_hm, region.r_nocsi[i, j], region.r_upper[i, j],
                  region.err_nocsi[i, j], region.err_upper[i, j], winner]
@@ -292,7 +295,7 @@ def run_point_eval(resolved: dict, out_dir: Path) -> int:
         return _coerce(float, args[key], f"point.args.{key}")
 
     def regime() -> CsiRegime:
-        out = _REGIMES.get(args.get("regime", "no_csi"))
+        out = _REGIMES.get(str(args.get("regime", "no_csi")))
         if out is None:
             raise ConfigError(f"point.args.regime: unknown regime {args.get('regime')!r}")
         return out
@@ -312,8 +315,8 @@ def run_point_eval(resolved: dict, out_dir: Path) -> int:
     elif op == "c_min_closed_form":
         reg = regime()
         rate = arg("R")
-        if not rate >= 0.0:
-            raise ConfigError("point.args.R: must be >= 0")
+        if not 0.0 <= rate < np.inf:
+            raise ConfigError("point.args.R: must be finite and >= 0")
         policy = RatePolicy.constant(rate)
         try:
             value = c_min_closed_form(reg, policy, arg("r_s"), sp, dist)

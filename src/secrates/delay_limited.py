@@ -47,10 +47,6 @@ class SearchConfig:
     mc_n: int = 1_000_000
     seed: int = 20240
     n_knots: int = 256
-    # feasible iff c_min - margin_k * std_err >= alpha; 0 keeps the plain
-    # constraint semantics, larger values give conservative runs
-    margin_k: float = 0.0
-    pilot_grid: int = 200
     r_cap: float = 64.0
 
 
@@ -70,7 +66,6 @@ def evaluate_constraint(
     rule: JammingRule,
     method: MonteCarlo | None = None,
     alpha: float | None = None,
-    margin_k: float = 0.0,
 ) -> FeasibilityReport:
     """Estimate the success-fraction constraint under a given jamming rule.
 
@@ -93,7 +88,7 @@ def evaluate_constraint(
         )
         c = float(np.mean(ok))
         se = float(np.sqrt(max(c * (1.0 - c), 0.0) / method.n))
-    feasible = None if alpha is None else (c - margin_k * se >= alpha)
+    feasible = None if alpha is None else c >= alpha
     return FeasibilityReport(c_min=c, std_err=se, feasible=feasible, regime=regime)
 
 
@@ -269,7 +264,6 @@ def optimize_policy_pilot(
     sp: SystemParams,
     dist: ChannelTriple,
     cfg: "SearchConfig",
-    method: MonteCarlo | None = None,
 ) -> tuple[RatePolicy, float, float]:
     """Rate policy for the pilot regime; returns (policy, c_min, std_err).
 
@@ -279,7 +273,8 @@ def optimize_policy_pilot(
     packet-optimal policy (whose constraint the pilot value can never
     fall below), the fraction of low-gain cells flipped to the clear
     capacity is tuned by a 1-D search against the re-computed pilot best
-    response, with common random numbers across candidates.
+    response on common random numbers: the search batch is keyed by
+    ``substream(seed, 1)`` and the returned value's by ``substream(seed, 2)``.
     """
     base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)
     knots_h = np.array([dist.h_m.param]) if base.is_constant else base.knots_h
@@ -296,30 +291,15 @@ def optimize_policy_pilot(
             return RatePolicy.constant(float(r[0]))
         return RatePolicy.tabulated(knots_h, r)
 
-    def score(frac: float, mc: MonteCarlo | None) -> FeasibilityReport:
+    def score(frac: float, mc: MonteCarlo) -> FeasibilityReport:
         policy = candidate(frac)
-        rule = adv.best_response_pilot(policy, r_s, sp, dist, cfg.pilot_grid)
-        return evaluate_constraint(
-            CsiRegime.PILOT_FEEDBACK, policy, r_s, sp, dist, rule,
-            method=None if dist.is_degenerate else mc,
-        )
+        rule = adv.best_response_pilot(policy, r_s, sp, dist)
+        return evaluate_constraint(CsiRegime.PILOT_FEEDBACK, policy, r_s, sp, dist, rule, mc)
 
-    search_mc = None
-    if not dist.is_degenerate:
-        seed = method.seed if method else substream(cfg.seed, 1)
-        search_mc = MonteCarlo(seed=seed, n=max(cfg.mc_n // 5, 10_000))
-    fracs = np.linspace(0.0, 1.0, 11)
-    scores = [score(f, search_mc).c_min for f in fracs]
-    k = int(np.argmax(scores))
-    lo = fracs[max(k - 1, 0)]
-    hi = fracs[min(k + 1, fracs.size - 1)]
-    f_star, _ = _golden_max(lambda f: score(f, search_mc).c_min, lo, hi, tol=0.02)
-    if scores[k] >= score(f_star, search_mc).c_min:
-        f_star = fracs[k]
-
-    final_mc = method or (None if dist.is_degenerate else
-                          MonteCarlo(seed=substream(cfg.seed, 2), n=cfg.mc_n))
-    rep = score(f_star, final_mc)
+    search_mc = MonteCarlo(seed=substream(cfg.seed, 1), n=max(cfg.mc_n // 5, 10_000))
+    c_min = np.vectorize(lambda f: score(f, search_mc).c_min, otypes=[float])
+    f_star, _ = _grid_then_golden(c_min, 0.0, 1.0, n_grid=11, tol=0.02)
+    rep = score(f_star, MonteCarlo(seed=substream(cfg.seed, 2), n=cfg.mc_n))
     return candidate(f_star), rep.c_min, rep.std_err
 
 
@@ -359,7 +339,8 @@ def solve(
     cfg = cfg or SearchConfig()
     if not (0.0 < alpha <= 1.0):
         raise AlphaOutOfRange("alpha must lie in (0, 1]")
-    mc = MonteCarlo(seed=substream(cfg.seed, 0), n=cfg.mc_n)
+    if not cfg.rate_tol > 0.0:
+        raise ValueError("rate_tol must be positive")
 
     def cmin(r_s: float) -> tuple[float, float, RatePolicy]:
         if regime is CsiRegime.NO_CSI:
@@ -368,7 +349,7 @@ def solve(
         if regime is CsiRegime.PACKET_FEEDBACK:
             policy, c = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)
             return c, 0.0, policy
-        policy, c, se = optimize_policy_pilot(r_s, sp, dist, cfg, method=mc)
+        policy, c, se = optimize_policy_pilot(r_s, sp, dist, cfg)
         return c, se, policy
 
     history: list[tuple[float, float, float]] = []
@@ -376,7 +357,7 @@ def solve(
     def feasible_at(r_s: float) -> tuple[bool, float, float, RatePolicy]:
         c, se, policy = cmin(r_s)
         history.append((r_s, c, se))
-        return c - cfg.margin_k * se >= alpha, c, se, policy
+        return c >= alpha, c, se, policy
 
     ok0, c0, se0, policy0 = feasible_at(0.0)
     if not ok0:

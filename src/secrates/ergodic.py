@@ -134,14 +134,13 @@ def _laws(dist: ChannelTriple) -> tuple:
 def rate_nocsi(
     cfg: ErgodicConfig,
     method: MonteCarlo | Quadrature | None = None,
-    mc_n: int = 1_000_000,
 ) -> tuple[float, float]:
     """Rate of encoding across blocks with no CSI: max(E[A - B], 0), the
     positive part of the mean capacity advantage over the always-jamming /
     eavesdropping mix.
 
     By default one quadrature over H_z of the closed form given H_z, with
-    the quadrature tolerance as error bar.  ``mc_n`` is ignored.
+    the quadrature tolerance as error bar.
     """
     value, _, err, _ = _rate_pair(cfg.sp, _laws(cfg.dist), cfg.dist.h_z, 1.0, method)
     return float(value), float(err)
@@ -150,12 +149,11 @@ def rate_nocsi(
 def rate_upper_bound(
     cfg: ErgodicConfig,
     method: MonteCarlo | Quadrature | None = None,
-    mc_n: int = 1_000_000,
 ) -> tuple[float, float]:
     """Upper bound for any block-by-block scheme with threshold hz_star:
     E[(A - B)^+] P[H_z <= hz_star].
 
-    Evaluated as ``rate_nocsi`` is; ``mc_n`` is ignored.
+    Evaluated as ``rate_nocsi`` is.
     """
     h_z = cfg.dist.h_z
     _, value, _, err = _rate_pair(cfg.sp, _laws(cfg.dist), h_z, h_z.cdf(cfg.hz_star), method)
@@ -165,14 +163,13 @@ def rate_upper_bound(
 def rate_arq(
     cfg: ErgodicConfig,
     method: MonteCarlo | Quadrature | None = None,
-    mc_n: int = 1_000_000,
 ) -> tuple[float, float]:
     """Rate of the plain ARQ block-by-block scheme: the jamming gain in
     the expectation is pinned at hz_star and the probability factor is
     squared (one feedback round per retransmission).
 
     By default the closed form E[(A - B)^+ | H_z = hz_star], exact, with
-    a zero error bar; ``mc_n`` is ignored.
+    a zero error bar.
     """
     pinned = GainDistribution.deterministic(cfg.hz_star)
     scale = cfg.dist.h_z.cdf(cfg.hz_star) ** 2
@@ -180,8 +177,8 @@ def rate_arq(
     return float(value), float(err)
 
 
-def rates(cfg: ErgodicConfig, mc_n: int = 1_000_000) -> ErgodicRates:
-    """All three rates by their default methods; ``mc_n`` is ignored."""
+def rates(cfg: ErgodicConfig) -> ErgodicRates:
+    """All three rates by their default methods."""
     rn, en = rate_nocsi(cfg)
     ru, eu = rate_upper_bound(cfg)
     ra, ea = rate_arq(cfg)
@@ -198,15 +195,10 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class RegionConfig:
-    """Region settings; ``mc_n``, ``seed`` and ``max_workers`` are ignored."""
-
     sp: SystemParams
     h_z: GainDistribution
     hz_quantile: float | None = 0.75
     hz_star: float | None = None
-    mc_n: int = 200_000
-    seed: int = 171717
-    max_workers: int | None = None
 
     def resolve_hz_star(self) -> float:
         if self.hz_star is not None:

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import InvalidRates
 
-LOG_BASE = 2
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -27,8 +25,8 @@ class SystemParams:
     p_j: float
 
     def __post_init__(self):
-        if self.p < 0 or self.p_j < 0:
-            raise ValueError("powers must be nonnegative")
+        if not (0 <= self.p < np.inf and 0 <= self.p_j < np.inf):
+            raise ValueError("powers must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

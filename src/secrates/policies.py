@@ -69,6 +69,3 @@ class RatePolicy:
             np.concatenate([[self.knots_r[0]], self.knots_r])
         for lo, hi, r in zip(edges[:-1], edges[1:], rates):
             yield float(lo), float(hi), float(r)
-
-    def min_rate(self) -> float:
-        return self.rate if self.is_constant else float(self.knots_r.min())

@@ -184,5 +184,10 @@ class TestValidation:
             GainDistribution.exponential(0.0)
         with pytest.raises(ValueError):
             GainDistribution.deterministic(-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                GainDistribution.exponential(bad)
+            with pytest.raises(ValueError):
+                GainDistribution.deterministic(bad)
         with pytest.raises(ValueError):
             GainDistribution("weird", 1.0)

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from secrates.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from secrates.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE, EXIT_OK, main
 
 FAST_CHANNELS = {
     "h_m": {"kind": "deterministic", "value": 3.0},
@@ -71,6 +77,10 @@ class TestConfigErrors:
         ({"scenario": "ergodic-region",
           "grid": {"he": {"start": 1.0, "stop": 1.0, "num": 2},
                    "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
+        ({"rate_tol": 0}, "rate_tol"),
+        ({"rate_tol": -1}, "rate_tol"),
+        ({"rate_tol": math.nan}, "rate_tol"),
+        ({"seed": -1}, "seed"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
         data = {"scenario": "point-eval", "channels": FAST_CHANNELS,
@@ -172,8 +182,21 @@ class TestErgodicRegion:
         assert boundary[0] == "e_he,e_hm_boundary,status,gap_err"
         assert len(boundary) == 1 + 2
 
-    def test_cli_flag_overrides(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SECRATES_MAX_WORKERS", "1")
+    def test_zero_power_is_a_tie(self, tmp_path):
+        # p = 0: both rates are exactly 0, so neither strategy wins
+        cfg = write_config(tmp_path / "c.yaml", {
+            "scenario": "ergodic-region",
+            "power": {"p": 0.0, "p_j": 1.0},
+            "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 2},
+                     "hm": {"start": 1.0, "stop": 10.0, "num": 2}},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        grid = (out / "ergodic_grid.csv").read_text().splitlines()[1:]
+        assert len(grid) == 4
+        assert all(l.split(",")[-1] == "tie" for l in grid)
+
+    def test_cli_flag_overrides(self, tmp_path):
         out = tmp_path / "out"
         code = main([
             "--scenario", "ergodic-region", "--out-dir", str(out),
@@ -225,3 +248,69 @@ class TestPointEval:
     def test_unknown_op(self, tmp_path, capsys):
         code, _ = self.run_point(tmp_path, {"op": "frobnicate"}, capsys)
         assert code == EXIT_CONFIG
+
+
+# -- fuzzing main --------------------------------------------------------------
+
+# Malformed values any key may take.
+JUNK = [0, -1, "x", math.nan, math.inf, None, []]
+
+
+def mostly(strategy, other):
+    """A value of ``strategy`` about seven times in eight, else one of ``other``."""
+    return st.tuples(st.integers(0, 7), strategy, other).map(lambda t: t[2] if t[0] == 7 else t[1])
+
+
+def pool(*valid):
+    return mostly(st.sampled_from(valid), st.sampled_from(JUNK))
+
+
+def mapping(**keys):
+    """A mapping with all of ``keys``, or some of them, or no mapping."""
+    some = mostly(st.fixed_dictionaries(keys), st.fixed_dictionaries({}, optional=keys))
+    return mostly(some, st.sampled_from(JUNK))
+
+
+GAIN = st.one_of(mapping(kind=pool("exponential"), mean=pool(0.5, 10.0)),
+                 mapping(kind=pool("deterministic"), value=pool(0.0, 3.0)))
+AXIS = mapping(start=pool(0.5, 1.0), stop=pool(2.0, 10.0), num=pool(1, 2, 3),
+               spacing=st.sampled_from(["log", "linear"]))
+CONFIGS = st.fixed_dictionaries(
+    {
+        "scenario": pool("delay-limited-sweep", "ergodic-region", "point-eval"),
+        "alphas": mostly(st.lists(pool(0.3, 0.5, 1.0), min_size=1, max_size=2),
+                         st.sampled_from(JUNK)),
+        "grid": mapping(he=AXIS, hm=AXIS),
+        # the defaults (1e6 samples, rate_tol 1e-4) make a pilot solve slow
+        "samples": pool(1, 20_000),
+        "rate_tol": pool(0.5, 2.0),
+        "point": mapping(
+            op=pool("cdf", "rate_nocsi", "rate_upper_bound", "rate_arq",
+                    "c_min_closed_form", "solve"),
+            args=mapping(regime=pool("no_csi", "packet_feedback", "pilot_feedback"),
+                         channel=pool("h_m", "h_e", "h_z"), x=pool(1.0),
+                         R=pool(1.0, 2.0), r_s=pool(0.5), alpha=pool(0.5, 1.0)),
+        ),
+    },
+    optional={
+        "channels": mapping(h_m=GAIN, h_e=GAIN, h_z=GAIN),
+        "power": mapping(p=pool(0.0, 1.0), p_j=pool(0.0, 1.0)),
+        "seed": pool(1, 20240),
+        "hz_star": pool(0.0, 0.5),
+        "hz_quantile": pool(0.75),
+    },
+)
+
+
+# derandomized: every run tries the same examples, so a failure reproduces
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(CONFIGS)
+def test_fuzzed_config_exits_cleanly(config):
+    """Any config mapping ends in a documented exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "c.yaml", config)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGENCE, EXIT_INFEASIBLE)
+    assert "Traceback" not in err.getvalue()

@@ -230,6 +230,14 @@ class TestPilotPolicy:
             _, c_pilot, se = optimize_policy_pilot(r_s, sp, dist, cfg)
             assert c_pilot >= c_packet - 3 * se
 
+    def test_solve_reports_the_policy_search_value(self, paper_delay_setup):
+        # solve draws the same batches as a direct call at its solution
+        sp, dist = paper_delay_setup
+        cfg = SearchConfig(rate_tol=1e-2, mc_n=20_000)
+        sol = solve(CsiRegime.PILOT_FEEDBACK, sp, dist, 0.5, cfg)
+        _, c, se = optimize_policy_pilot(sol.r_s_star, sp, dist, cfg)
+        assert (sol.report.c_min, sol.report.std_err) == (c, se)
+
 
 class TestSolve:
     def test_alpha_validation(self, paper_delay_setup):
@@ -237,6 +245,14 @@ class TestSolve:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(AlphaOutOfRange):
                 solve(CsiRegime.NO_CSI, sp, dist, bad)
+
+    def test_rate_tol_validation(self, paper_delay_setup):
+        # the bisection runs while its bracket exceeds rate_tol: forever at
+        # 0 or below, not at all at nan
+        sp, dist = paper_delay_setup
+        for bad in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="rate_tol"):
+                solve(CsiRegime.NO_CSI, sp, dist, 0.5, SearchConfig(rate_tol=bad))
 
     def test_deterministic_channels_exact_rate(self):
         # h_m=3, h_e=0, h_z=1: every block succeeds iff the rate fits the

@@ -19,6 +19,13 @@ powers = st.floats(min_value=0.0, max_value=100.0)
 
 
 class TestRates:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_powers_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SystemParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            SystemParams(1.0, bad)
+
     def test_zero_gain(self):
         sp = SystemParams(1.0, 1.0)
         assert rate_main_jammed(sp, 0.0, 1.0) == 0.0
