@@ -136,7 +136,7 @@ def pilot_payoffs(
     """
     h_e = np.atleast_1d(np.asarray(h_e, float))
     h_z = np.atleast_1d(np.asarray(h_z, float))
-    lo, hi, r = np.array(list(policy.intervals())).T[:, :, None]
+    lo, hi, r = (x[:, None] for x in policy.cells())
     jam = _prob_interval_geq(dist.h_m, lo, hi, _jam_threshold(r, sp, h_z)).sum(axis=0)
     # eavesdropping branch: the connection threshold does not involve h_z
     mass_conn = _prob_interval_geq(dist.h_m, lo, hi, _jam_threshold(r, sp))
@@ -145,11 +145,11 @@ def pilot_payoffs(
     return jam, eaves
 
 
-def _quantile_axis(d: GainDistribution, size: int) -> np.ndarray:
-    """Grid over one observable, quantile-mapped; a single point if degenerate."""
-    if d.is_degenerate:
-        return np.array([d.param])
-    return d.ppf((np.arange(size) + 0.5) / size)
+def _pilot_grids(dist: ChannelTriple, grid_size: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile-mapped (h_e, h_z) grids of the pilot payoffs; one point per non-fading link."""
+    axis = lambda d: (np.array([d.param]) if d.is_degenerate
+                      else d.ppf((np.arange(grid_size) + 0.5) / grid_size))
+    return axis(dist.h_e), axis(dist.h_z)
 
 
 def _nearest_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -177,8 +177,7 @@ def best_response_pilot(
     and looked up by nearest neighbor, since the rule is evaluated inside
     optimizer and Monte Carlo loops.
     """
-    he_grid = _quantile_axis(dist.h_e, grid_size)
-    hz_grid = _quantile_axis(dist.h_z, grid_size)
+    he_grid, hz_grid = _pilot_grids(dist, grid_size)
     jam_pay, eaves_pay = pilot_payoffs(policy, r_s, sp, dist, he_grid, hz_grid)
 
     def decide(h_m, h_e, h_z):

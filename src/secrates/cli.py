@@ -314,12 +314,12 @@ def run_point_eval(resolved: dict, out_dir: Path) -> int:
         print(f"{op} = {value!r} +- {err!r}")
     elif op == "c_min_closed_form":
         reg = regime()
-        rate = arg("R")
-        if not 0.0 <= rate < np.inf:
-            raise ConfigError("point.args.R: must be finite and >= 0")
-        policy = RatePolicy.constant(rate)
+        rate, r_s = arg("R"), arg("r_s")
+        for key, v in (("R", rate), ("r_s", r_s)):
+            if not 0.0 <= v < np.inf:
+                raise ConfigError(f"point.args.{key}: must be finite and >= 0")
         try:
-            value = c_min_closed_form(reg, policy, arg("r_s"), sp, dist)
+            value = c_min_closed_form(reg, RatePolicy.constant(rate), r_s, sp, dist)
         except UnsupportedRegime as exc:
             raise ConfigError(f"point.args.regime: {exc}") from exc
         print(f"c_min_closed_form[{reg.value}](R={args['R']}, r_s={args['r_s']}) = {value!r}")
@@ -417,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NONCONVERGENCE
     except SecratesError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: out of memory; lower samples or the grid size "
+              f"(grid.he.num, grid.hm.num): {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -10,16 +10,18 @@ a bisection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adversary as adv
 from .adversary import CsiRegime, JammingRule
-from .channels import ChannelTriple, GainDistribution, MonteCarlo, sample, substream
+from .channels import ChannelTriple, GainDistribution, MonteCarlo, SampleBatch, sample, substream
 from .errors import AlphaOutOfRange, NonMonotone, PolicyRegimeMismatch, UnsupportedRegime
-from .phy_rates import SystemParams, rate_main_clear, rate_main_jammed, success_indicator
-from .policies import RatePolicy
+from .phy_rates import (SystemParams, rate_eve, rate_main_clear, rate_main_jammed,
+                        success_given_capacities, success_indicator)
+from .policies import RatePolicy, cell_index
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -170,7 +172,7 @@ def c_min_closed_form(
     if regime is CsiRegime.PILOT_FEEDBACK:
         raise UnsupportedRegime("no closed form for pilot feedback")
     _check_regime(regime, policy)
-    lo, hi, r = np.array(list(policy.intervals())).T
+    lo, hi, r = policy.cells()
     cells = _secrecy_factor(r, r_s, sp, dist.h_e) * _cell_jam_mass(lo, hi, r, sp, dist)
     return float(np.clip(np.sum(cells), 0.0, 1.0))
 
@@ -214,6 +216,13 @@ def _grid_then_golden(f, lo, hi, n_grid: int = 48, tol: float = 1e-6):
     return np.where(keep, x_grid, x)[()], np.where(keep, v_grid, v)[()]
 
 
+def _packet_knots(d: GainDistribution, n_knots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile-spaced knots in H_m and their cell midpoints; one point if degenerate."""
+    if d.is_degenerate:
+        return np.array([d.param]), np.array([d.param])
+    return d.ppf(np.arange(n_knots) / n_knots), d.ppf((np.arange(n_knots) + 0.5) / n_knots)
+
+
 def optimize_policy_packet(
     r_s: float,
     sp: SystemParams,
@@ -232,11 +241,7 @@ def optimize_policy_packet(
     """
     if r_s < 0:
         raise ValueError("r_s must be nonnegative")
-    if dist.h_m.is_degenerate:
-        knots_h = reps = np.array([dist.h_m.param])
-    else:
-        knots_h = dist.h_m.ppf(np.arange(n_knots) / n_knots)
-        reps = dist.h_m.ppf((np.arange(n_knots) + 0.5) / n_knots)
+    knots_h, reps = _packet_knots(dist.h_m, n_knots)
     if dist.h_z.is_degenerate or sp.p_j == 0:
         # The jamming factor is a step in r.  Pin the rate to the jammed
         # capacity at the cell's LEFT edge: a higher rate (e.g. at the
@@ -275,9 +280,11 @@ def optimize_policy_pilot(
     capacity is tuned by a 1-D search against the re-computed pilot best
     response on common random numbers: the search batch is keyed by
     ``substream(seed, 1)`` and the returned value's by ``substream(seed, 2)``.
+    Each batch is drawn and indexed once (:func:`_pilot_batch`) and reused
+    across candidates, bisection steps and alphas.
     """
     base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)
-    knots_h = np.array([dist.h_m.param]) if base.is_constant else base.knots_h
+    knots_h, _ = _packet_knots(dist.h_m, cfg.n_knots)  # the knots of base and of the batches
     knots_r = np.array([base.rate]) if base.is_constant else base.knots_r
     clear_lo = np.maximum(np.log2(1.0 + sp.p * knots_h), r_s)
     n = knots_r.size
@@ -291,16 +298,40 @@ def optimize_policy_pilot(
             return RatePolicy.constant(float(r[0]))
         return RatePolicy.tabulated(knots_h, r)
 
-    def score(frac: float, mc: MonteCarlo) -> FeasibilityReport:
-        policy = candidate(frac)
-        rule = adv.best_response_pilot(policy, r_s, sp, dist)
-        return evaluate_constraint(CsiRegime.PILOT_FEEDBACK, policy, r_s, sp, dist, rule, mc)
-
-    search_mc = MonteCarlo(seed=substream(cfg.seed, 1), n=max(cfg.mc_n // 5, 10_000))
-    c_min = np.vectorize(lambda f: score(f, search_mc).c_min, otypes=[float])
+    draw = lambda key, size: _pilot_batch(sp, dist, substream(cfg.seed, key), size, cfg.n_knots)
+    search = draw(1, max(cfg.mc_n // 5, 10_000))
+    c_min = np.vectorize(lambda f: search(candidate(f), r_s)[0], otypes=[float])
     f_star, _ = _grid_then_golden(c_min, 0.0, 1.0, n_grid=11, tol=0.02)
-    rep = score(f_star, MonteCarlo(seed=substream(cfg.seed, 2), n=cfg.mc_n))
-    return candidate(f_star), rep.c_min, rep.std_err
+    policy = candidate(f_star)
+    return policy, *draw(2, cfg.mc_n)(policy, r_s)
+
+
+@functools.lru_cache(maxsize=2)  # the search batch and the final batch
+def _pilot_batch(sp: SystemParams, dist: ChannelTriple, seed: int, n: int, n_knots: int):
+    """Draw one pilot batch and index it once (packet-knot cell of h_m, nearest
+    payoff-grid points of h_e and h_z, the three capacities).  Returns
+    ``value(policy, r_s)``: the ``(c_min, std_err)`` of :func:`evaluate_constraint`
+    under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots
+    (constant if H_m is a point mass; a point-mass triple is one realization)."""
+    b = (SampleBatch(seed, 1, np.array([[d.param for d in dist.components()]]))
+         if dist.is_degenerate else sample(dist, seed, n))
+    he_grid, hz_grid = adv._pilot_grids(dist)
+    knots_h, _ = _packet_knots(dist.h_m, n_knots)
+    compact = lambda i, grid: i.astype(np.min_scalar_type(grid.size - 1))
+    cell = compact(cell_index(knots_h, b.h_m), knots_h)
+    ie = compact(adv._nearest_index(he_grid, b.h_e), he_grid)
+    iz = compact(adv._nearest_index(hz_grid, b.h_z), hz_grid)
+    caps = rate_main_jammed(sp, b.h_m, b.h_z), rate_eve(sp, b.h_e), rate_main_clear(sp, b.h_m)
+    n = b.n  # the closure keeps the indices and capacities, not the draws
+
+    def value(policy: RatePolicy, r_s: float) -> tuple[float, float]:
+        jam_pay, eaves_pay = adv.pilot_payoffs(policy, r_s, sp, dist, he_grid, hz_grid)
+        rates = np.atleast_1d(policy.rate) if policy.is_constant else policy.knots_r
+        ok = success_given_capacities(*caps, rates[cell], r_s, jam_pay[iz] <= eaves_pay[ie])
+        c = float(np.mean(ok))
+        return c, float(np.sqrt(max(c * (1.0 - c), 0.0) / n))
+
+    return value
 
 
 def _best_constant_nocsi(

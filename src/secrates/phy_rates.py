@@ -66,17 +66,22 @@ def success_indicator(sp: SystemParams, h_m, h_e, h_z, rate_r, r_s, jamming):
     ``r_s > rate_r``: the secrecy condition can then never hold, which is
     a policy bug rather than an outage.
     """
+    out = success_given_capacities(rate_main_jammed(sp, h_m, h_z), rate_eve(sp, h_e),
+                                   rate_main_clear(sp, h_m), rate_r, r_s, jamming)
+    return out if out.ndim else bool(out)
+
+
+def success_given_capacities(cap_jam, cap_eve, cap_clear, rate_r, r_s, jamming) -> np.ndarray:
+    """:func:`success_indicator` given the jammed main, eavesdropper and
+    clear main capacities of each block; raises the same :class:`InvalidRates`."""
     rate_r = np.asarray(rate_r, float)
     jamming = np.asarray(jamming, bool)
     if np.any(np.asarray(r_s, float) < 0) or np.any(rate_r < 0):
         raise InvalidRates("rates must be nonnegative")
     if np.any(~jamming & (np.asarray(r_s, float) > rate_r)):
         raise InvalidRates("secrecy rate exceeds code rate on an eavesdropped block")
-
-    jam_ok = rate_main_jammed(sp, h_m, h_z) >= rate_r
-    eve_ok = (rate_eve(sp, h_e) <= rate_r - r_s) & (rate_main_clear(sp, h_m) >= rate_r)
-    out = np.where(jamming, jam_ok, eve_ok)
-    return out if out.ndim else bool(out)
+    return np.where(jamming, cap_jam >= rate_r,
+                    (cap_eve <= rate_r - r_s) & (cap_clear >= rate_r))
 
 
 def indicators(r: BlockRealization, sp: SystemParams, rate_r, r_s, jamming: bool) -> bool:

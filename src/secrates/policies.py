@@ -53,19 +53,19 @@ class RatePolicy:
         if self.is_constant:
             out = np.full_like(h_m, self.rate)
         else:
-            idx = np.clip(np.searchsorted(self.knots_h, h_m, side="right") - 1,
-                          0, self.knots_r.size - 1)
-            out = self.knots_r[idx]
+            out = self.knots_r[cell_index(self.knots_h, h_m)]
         return out if out.ndim else float(out)
 
-    def intervals(self):
-        """Yield (lo, hi, rate) cells covering [0, inf)."""
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, rate) arrays of the cells [lo, hi) covering [0, inf)."""
         if self.is_constant:
-            yield 0.0, np.inf, self.rate
-            return
-        edges = np.concatenate([[0.0] if self.knots_h[0] > 0 else [],
-                                self.knots_h, [np.inf]])
-        rates = self.knots_r if self.knots_h[0] == 0 else \
-            np.concatenate([[self.knots_r[0]], self.knots_r])
-        for lo, hi, r in zip(edges[:-1], edges[1:], rates):
-            yield float(lo), float(hi), float(r)
+            return np.array([0.0]), np.array([np.inf]), np.array([self.rate])
+        gap = self.knots_h[0] > 0  # the first rate also covers [0, knots_h[0])
+        edges = np.concatenate([[0.0] if gap else [], self.knots_h, [np.inf]])
+        rates = np.concatenate([self.knots_r[:1], self.knots_r]) if gap else self.knots_r
+        return edges[:-1], edges[1:], rates
+
+
+def cell_index(knots_h: np.ndarray, h_m) -> np.ndarray:
+    """Index of the left-closed knot cell holding each h_m (0 below the first knot)."""
+    return np.clip(np.searchsorted(knots_h, h_m, side="right") - 1, 0, knots_h.size - 1)

@@ -81,6 +81,8 @@ class TestConfigErrors:
         ({"rate_tol": -1}, "rate_tol"),
         ({"rate_tol": math.nan}, "rate_tol"),
         ({"seed": -1}, "seed"),
+        *(({"point": {"op": "c_min_closed_form", "args": {"R": 1.0, "r_s": bad}}},
+           "point.args.r_s") for bad in (math.nan, math.inf, -1.0)),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
         data = {"scenario": "point-eval", "channels": FAST_CHANNELS,
@@ -90,6 +92,19 @@ class TestConfigErrors:
         assert main(["--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    def test_oversized_samples(self, tmp_path, capsys):
+        # 10**15 draws exceed the address space, so the allocation fails at once
+        cfg = write_config(tmp_path / "c.yaml", {
+            "scenario": "point-eval", "samples": 10**15,
+            "channels": {"h_m": {"kind": "exponential", "mean": 10.0},
+                         "h_e": {"kind": "exponential", "mean": 1.0},
+                         "h_z": {"kind": "deterministic", "value": 1.0}},
+            "point": {"op": "solve", "args": {"regime": "pilot_feedback", "alpha": 0.5}},
+        })
+        assert main(["--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "samples" in err and "grid" in err and "Traceback" not in err
 
 
 class TestDelayLimitedSweep:

@@ -5,12 +5,14 @@ import pytest
 from scipy import integrate
 
 from secrates import ChannelTriple, GainDistribution, MonteCarlo, RatePolicy, SystemParams
-from secrates.adversary import CsiRegime, JammingRule, best_response
+from secrates import channels, delay_limited
+from secrates.adversary import CsiRegime, JammingRule, best_response, best_response_pilot
 from secrates.delay_limited import (
     SearchConfig,
     _assert_monotone,
     _best_constant_nocsi,
     _cell_jam_mass,
+    _pilot_batch,
     c_min_closed_form,
     evaluate_constraint,
     evaluate_constraint_full_duplex,
@@ -18,9 +20,14 @@ from secrates.delay_limited import (
     optimize_policy_pilot,
     solve,
 )
-from secrates.errors import AlphaOutOfRange, NonMonotone, PolicyRegimeMismatch, UnsupportedRegime
+from secrates.errors import (
+    AlphaOutOfRange, InvalidRates, NonMonotone, PolicyRegimeMismatch, UnsupportedRegime,
+)
 
 from conftest import det_triple
+
+
+E, D = GainDistribution.exponential, GainDistribution.deterministic
 
 
 def always_jam(regime=CsiRegime.NO_CSI):
@@ -237,6 +244,84 @@ class TestPilotPolicy:
         sol = solve(CsiRegime.PILOT_FEEDBACK, sp, dist, 0.5, cfg)
         _, c, se = optimize_policy_pilot(sol.r_s_star, sp, dist, cfg)
         assert (sol.report.c_min, sol.report.std_err) == (c, se)
+
+    @pytest.mark.parametrize("alpha, frozen", [
+        (0.1, (3.1943359375, 0.1002, 0.0021232046533483295)),
+        (0.5, (1.3505859375, 0.50015, 0.003535533746833708)),
+    ])
+    def test_frozen_solve(self, alpha, frozen, paper_delay_setup):
+        # recorded before the pilot batches were cached; reuse changes no bit
+        sp, dist = paper_delay_setup
+        sol = solve(CsiRegime.PILOT_FEEDBACK, sp, dist, alpha,
+                    SearchConfig(mc_n=20_000, rate_tol=1e-3))
+        assert (sol.r_s_star, sol.report.c_min, sol.report.std_err) == frozen
+
+    @pytest.mark.parametrize("dist, n_draws", [
+        (ChannelTriple(E(10.0), E(1.0), D(1.0)), 2),
+        (det_triple(3.0, 0.5, 1.0), 0),  # a point-mass triple is one exact realization
+    ])
+    def test_sweep_draws_each_batch_once(self, monkeypatch, dist, n_draws):
+        sp = SystemParams(1.0, 1.0)
+        draws = []
+
+        def counting_sample(*args):
+            draws.append(args)
+            return channels.sample(*args)
+
+        monkeypatch.setattr(delay_limited, "sample", counting_sample)
+        _pilot_batch.cache_clear()
+        cfg = SearchConfig(mc_n=20_000, rate_tol=1e-2)
+        for alpha in (0.1, 0.5, 0.9):
+            solve(CsiRegime.PILOT_FEEDBACK, sp, dist, alpha, cfg)
+        assert len(draws) == n_draws
+
+
+class TestPilotBatchMatchesOracle:
+    """The cached pilot scorer against evaluate_constraint + best_response_pilot."""
+
+    SEED, N, N_KNOTS = 5, 20_000, 64
+
+    def fast(self, policy, r_s, sp, dist):
+        return _pilot_batch(sp, dist, self.SEED, self.N, self.N_KNOTS)(policy, r_s)
+
+    def oracle(self, policy, r_s, sp, dist):
+        rule = best_response_pilot(policy, r_s, sp, dist)
+        rep = evaluate_constraint(CsiRegime.PILOT_FEEDBACK, policy, r_s, sp, dist, rule,
+                                  MonteCarlo(seed=self.SEED, n=self.N))
+        return rep.c_min, rep.std_err
+
+    def both(self, *args):
+        return self.fast(*args), self.oracle(*args)
+
+    @pytest.mark.parametrize("h_z", [D(1.0), E(1.0)])
+    @pytest.mark.parametrize("frac", [0.0, 0.37, 1.0])
+    def test_candidates(self, frac, h_z):
+        sp, dist, r_s = SystemParams(1.0, 1.0), ChannelTriple(E(10.0), E(1.0), h_z), 0.8
+        base, _ = optimize_policy_packet(r_s, sp, dist, self.N_KNOTS)
+        r = base.knots_r.copy()
+        k = round(frac * r.size)
+        r[:k] = np.maximum(np.log2(1.0 + sp.p * base.knots_h[:k]), r_s)
+        fast, oracle = self.both(RatePolicy.tabulated(base.knots_h, r), r_s, sp, dist)
+        assert fast == oracle and 0.0 < fast[0] < 1.0
+
+    @pytest.mark.parametrize("dist", [
+        ChannelTriple(D(3.0), E(1.0), D(1.0)),
+        ChannelTriple(D(3.0), E(1.0), E(1.0)),
+        det_triple(3.0, 0.5, 1.0),  # exact single realization
+        det_triple(3.0, 2.0, 1.0),
+    ])
+    def test_constant_policy_point_mass_main_gain(self, dist):
+        fast, oracle = self.both(RatePolicy.constant(1.5), 0.2, SystemParams(1.0, 1.0), dist)
+        assert fast == oracle
+
+    def test_invalid_rates_raised_by_both(self, paper_delay_setup):
+        # every rate below r_s: eavesdropping always wins and the rule is violated
+        sp, dist = paper_delay_setup
+        base, _ = optimize_policy_packet(0.8, sp, dist, self.N_KNOTS)
+        policy = RatePolicy.tabulated(base.knots_h, np.full(base.knots_h.size, 0.1))
+        for scorer in (self.fast, self.oracle):
+            with pytest.raises(InvalidRates):
+                scorer(policy, 0.8, sp, dist)
 
 
 class TestSolve:
