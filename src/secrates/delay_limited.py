@@ -18,7 +18,8 @@ import numpy as np
 from . import adversary as adv
 from .adversary import CsiRegime, JammingRule
 from .channels import ChannelTriple, GainDistribution, MonteCarlo, SampleBatch, sample, substream
-from .errors import AlphaOutOfRange, NonMonotone, PolicyRegimeMismatch, UnsupportedRegime
+from .errors import (AlphaOutOfRange, InvalidRates, NonMonotone, PolicyRegimeMismatch,
+                     UnsupportedRegime)
 from .phy_rates import (SystemParams, rate_eve, rate_main_clear, rate_main_jammed,
                         success_given_capacities, success_indicator)
 from .policies import RatePolicy, cell_index
@@ -120,6 +121,11 @@ def evaluate_constraint_full_duplex(
                              regime=CsiRegime.PACKET_FEEDBACK)
 
 
+def _check_secrecy_rate(r_s: float) -> None:
+    if not (np.isfinite(r_s) and r_s >= 0):
+        raise InvalidRates(f"secrecy rate must be finite and nonnegative, got {r_s!r}")
+
+
 def _secrecy_factor(r, r_s: float, sp: SystemParams, dist_e: GainDistribution):
     """P[log2(1 + p*H_e) <= r - r_s]; vectorized over r."""
     if sp.p == 0:
@@ -172,6 +178,7 @@ def c_min_closed_form(
     if regime is CsiRegime.PILOT_FEEDBACK:
         raise UnsupportedRegime("no closed form for pilot feedback")
     _check_regime(regime, policy)
+    _check_secrecy_rate(r_s)
     lo, hi, r = policy.cells()
     cells = _secrecy_factor(r, r_s, sp, dist.h_e) * _cell_jam_mass(lo, hi, r, sp, dist)
     return float(np.clip(np.sum(cells), 0.0, 1.0))
@@ -239,8 +246,7 @@ def optimize_policy_packet(
     knots at once.  Knots are quantile-spaced in H_m so resolution follows
     probability mass.
     """
-    if r_s < 0:
-        raise ValueError("r_s must be nonnegative")
+    _check_secrecy_rate(r_s)
     knots_h, reps = _packet_knots(dist.h_m, n_knots)
     if dist.h_z.is_degenerate or sp.p_j == 0:
         # The jamming factor is a step in r.  Pin the rate to the jammed

@@ -18,6 +18,8 @@ integral over t >= 0 of P(B <= t) P(A > t), is for the (H_m, H_e) laws
   Exp/Det: e^{-c_a s_b} g(c_a (1 + s_b))/ln 2,
   Det/Det: (log2(1 + s_a) - log2(1 + s_b))^+.
 So a rate is one quadrature over H_z, or none when H_z is a point mass.
+E[B] does not depend on H_z, so it is taken outside the integral: the
+quadrature integrates E[A] and E[(A - B)^+] and E[B] is subtracted after.
 ``method=MonteCarlo(...)`` instead averages one sampled batch, an oracle
 for the closed forms.
 """
@@ -83,30 +85,29 @@ def _g(x):
                     np.exp(xs) * special.exp1(xs))
 
 
-def _gap_moments(sp: SystemParams, m_kind: str, m, e_kind: str, e, z):
-    """(E[A - B], E[(A - B)^+]) given H_z = z by the module's closed forms.
+def _gap_moments(sp: SystemParams, m_kind: str, m, e_kind: str, e, z, mean_b):
+    """(E[A], E[(A - B)^+]) given H_z = z by the module's closed forms.
 
-    ``m`` and ``e`` broadcast against each other and against ``z``.
+    ``m``, ``e``, ``mean_b`` = E[B] and ``z`` broadcast against each other.
     """
     jam = 1.0 + sp.p_j * np.asarray(z, dtype=float)
-    s_a, s_b = sp.p * m / jam, np.asarray(sp.p * e, dtype=float)
+    s_a = sp.p * m / jam
     with np.errstate(divide="ignore"):  # p = 0: c is infinite and g(inf) = 0
-        c_a, c_b = 1.0 / s_a, 1.0 / s_b
+        c_a, c_b = 1.0 / s_a, 1.0 / np.asarray(sp.p * e, dtype=float)
     exp_m, exp_e = m_kind == EXPONENTIAL, e_kind == EXPONENTIAL
     mean_a = _g(c_a) / _LN2 if exp_m else np.log2(1.0 + s_a)
-    mean_b = _g(c_b) / _LN2 if exp_e else np.log2(1.0 + s_b)
     # c_b s_a and c_a s_b are written without p, so p = 0 gives no inf * 0
     if exp_m and exp_e:
-        pos = (_g(c_a) - _g(c_a + c_b)) / _LN2
+        pos = mean_a - _g(c_a + c_b) / _LN2
     elif exp_e:
         cs = m / (jam * e)
-        pos = mean_a - (_g(c_b) - np.exp(-cs) * _g(c_b + cs)) / _LN2
+        pos = mean_a - mean_b + np.exp(-cs) * _g(c_b + cs) / _LN2
     elif exp_m:
         cs = jam * e / m
         pos = np.exp(-cs) * _g(c_a + cs) / _LN2
     else:
         pos = np.maximum(mean_a - mean_b, 0.0)
-    return mean_a - mean_b, pos
+    return np.broadcast_arrays(mean_a, pos)
 
 
 def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale, method=None):
@@ -121,9 +122,12 @@ def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale, meth
         vals = np.stack([diff, np.maximum(diff, 0.0)])
         moments, errs = vals.mean(axis=1), vals.std(ddof=1, axis=1) / np.sqrt(method.n)
     else:
-        moments, err = expect(h_z, lambda z: np.stack(_gap_moments(sp, *laws, z)),
-                              method or Quadrature())
-        errs = (err, err)
+        s_b = sp.p * np.asarray(laws[3], dtype=float)
+        with np.errstate(divide="ignore"):
+            mean_b = _g(1.0 / s_b) / _LN2 if laws[2] == EXPONENTIAL else np.log2(1.0 + s_b)
+        (mean_a, pos), err = expect(h_z, lambda z: np.stack(_gap_moments(sp, *laws, z, mean_b)),
+                                    method or Quadrature())
+        moments, errs = (mean_a - mean_b, pos), (err, err)
     return np.maximum(moments[0], 0.0), moments[1] * scale, errs[0], errs[1] * scale
 
 
@@ -219,11 +223,12 @@ class RegionResult:
 
 def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
     """Rate grid for exponential H_m and H_e plus, per E[H_e] row, the
-    E[H_m] where the two encoding strategies tie (found by bisection on
-    the continuous axis, all rows at once).
+    E[H_m] where the two encoding strategies tie.
 
-    The grid is one array-valued quadrature over H_z, and each bisection
-    step is one more.
+    The grid is one array-valued quadrature over H_z.  Each row whose rate
+    gap changes sign is then bisected from its first sign-change grid cell
+    down to 1e-3 of the E[H_m] axis range, all live rows at once, one
+    quadrature per step; a row drops out once its bracket is that narrow.
     """
     he_means = np.asarray(he_means, dtype=float)
     hm_means = np.asarray(hm_means, dtype=float)
@@ -237,22 +242,24 @@ def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
         return _rate_pair(cfg.sp, (EXPONENTIAL, e_hm, EXPONENTIAL, e_he), cfg.h_z, scale)
 
     rn, ru, en, eu = rates_at(hm_means[None, :], he_means[:, None])
-    gap_lo, gap_hi = rn[:, 0] - ru[:, 0], rn[:, -1] - ru[:, -1]
-    rows = np.flatnonzero((gap_lo * gap_hi <= 0) & (hm_means.size >= 2))
-
-    lo = np.full(rows.size, hm_means[0])
-    hi = np.full(rows.size, hm_means[-1])
-    gap_err = 0.0
-    while rows.size and hi[0] - lo[0] > 1e-3 * (hm_means[-1] - hm_means[0]):
-        mid = 0.5 * (lo + hi)
-        a, b, ea, eb = rates_at(mid, he_means[rows])
-        gap_err = float(np.hypot(ea, eb))
-        below = (a - b) * gap_lo[rows] <= 0
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
+    gap = rn - ru
+    rows = np.flatnonzero((gap[:, 0] * gap[:, -1] <= 0) & (hm_means.size >= 2))
+    gap_lo = gap[rows, 0]
+    crossed = gap[rows] * gap_lo[:, None] <= 0
+    crossed[:, 0] = False
+    j = np.argmax(crossed, axis=1)  # first cell [hm[j - 1], hm[j]] with a sign change
+    lo, hi = hm_means[j - 1], hm_means[j]
+    gap_err = np.full(rows.size, float(np.hypot(en, eu)))
+    while (live := np.flatnonzero(hi - lo > 1e-3 * (hm_means[-1] - hm_means[0]))).size:
+        mid = 0.5 * (lo[live] + hi[live])
+        a, b, ea, eb = rates_at(mid, he_means[rows[live]])
+        gap_err[live] = np.hypot(ea, eb)
+        below = (a - b) * gap_lo[live] <= 0
+        hi[live] = np.where(below, mid, hi[live])
+        lo[live] = np.where(below, lo[live], mid)
 
     boundary = [BoundaryPoint(float(e_he), None, "no_crossing", 0.0) for e_he in he_means]
-    for i, e_hm in zip(rows, 0.5 * (lo + hi)):
-        boundary[i] = BoundaryPoint(float(he_means[i]), float(e_hm), "ok", gap_err)
+    for i, e_hm, err in zip(rows, 0.5 * (lo + hi), gap_err):
+        boundary[i] = BoundaryPoint(float(he_means[i]), float(e_hm), "ok", float(err))
     en, eu = np.full(rn.shape, en), np.full(rn.shape, eu)
     return RegionResult(he_means, hm_means, rn, ru, en, eu, boundary)

@@ -104,6 +104,15 @@ class TestClosedForm:
             c_min_closed_form(CsiRegime.PILOT_FEEDBACK, RatePolicy.constant(1.0),
                               0.1, sp, dist)
 
+    @pytest.mark.parametrize("r_s", [-1.0, math.nan, math.inf])
+    def test_meaningless_secrecy_rate_rejected(self, r_s, paper_delay_setup):
+        # a negative, nan or infinite secrecy rate has no constraint value to give
+        sp, dist = paper_delay_setup
+        with pytest.raises(InvalidRates):
+            c_min_closed_form(CsiRegime.NO_CSI, RatePolicy.constant(1.0), r_s, sp, dist)
+        with pytest.raises(InvalidRates):
+            optimize_policy_packet(r_s, sp, dist, 16)
+
     def test_bounded_in_unit_interval(self, paper_delay_setup):
         sp, dist = paper_delay_setup
         rng = np.random.default_rng(42)

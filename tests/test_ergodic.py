@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from secrates import ChannelTriple, GainDistribution, MonteCarlo, SystemParams
+from secrates import ChannelTriple, GainDistribution, MonteCarlo, SystemParams, channels, ergodic
 from secrates.ergodic import (
     ErgodicConfig,
     RegionConfig,
@@ -172,7 +173,30 @@ class TestOrderings:
         assert vals == sorted(vals)
 
 
+def scalar_gap(cfg, e_hm, e_he):
+    """rate_nocsi - rate_upper_bound at one grid point, from scalar configs."""
+    ecfg = ErgodicConfig(cfg.sp, exp_triple(e_hm, e_he, cfg.h_z.param), cfg.resolve_hz_star())
+    return rate_nocsi(ecfg)[0] - rate_upper_bound(ecfg)[0]
+
+
 class TestDominanceRegion:
+    # the 20x20 grid of acceptance criterion 7
+    CFG = RegionConfig(SystemParams(1.0, 1.0), GainDistribution.exponential(1.0),
+                       hz_quantile=0.75)
+    HE = np.geomspace(0.1, 2.0, 20)
+    HM = np.geomspace(0.5, 200.0, 20)
+
+    @staticmethod
+    def count_expect(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return channels.expect(*args, **kwargs)
+
+        monkeypatch.setattr(ergodic, "expect", counted)
+        return calls
+
     def test_grid_and_boundary(self):
         cfg = RegionConfig(
             SystemParams(1.0, 1.0), GainDistribution.exponential(1.0),
@@ -210,3 +234,35 @@ class TestDominanceRegion:
             dominance_region([1.0, 0.5], [1.0, 2.0], cfg)
         with pytest.raises(ValueError):
             dominance_region([1.0, 2.0], [-1.0, 2.0], cfg)
+
+    def test_boundary_brackets_the_scalar_tie(self):
+        # every reported tie lies within half the stopping width of a sign
+        # change of the gap, evaluated independently of the region's arrays
+        res = dominance_region(self.HE, self.HM, self.CFG)
+        half = 0.5e-3 * (self.HM[-1] - self.HM[0])
+        ok = [bp for bp in res.boundary if bp.status == "ok"]
+        assert ok
+        for bp in ok:
+            lo, hi = (scalar_gap(self.CFG, bp.e_hm + d, bp.e_he) for d in (-half, half))
+            assert lo * hi <= 0, bp
+
+    def test_bisection_starts_from_the_grid_cell(self, monkeypatch):
+        # 1 grid quadrature + 4 bisection steps: each row bisects only its
+        # sign-change cell, and the widest such cell needs 4 halvings
+        calls = self.count_expect(monkeypatch)
+        dominance_region(self.HE, self.HM, self.CFG)
+        assert len(calls) == 5
+
+    def test_narrow_grid_cell_takes_no_step(self, monkeypatch):
+        # a sign-change cell already narrower than the stopping width: the
+        # row reports the cell midpoint with the grid quadrature's error bar
+        e_he = 1.0
+        tie = optimize.brentq(lambda m: scalar_gap(self.CFG, m, e_he), 0.5, 200.0, xtol=1e-9)
+        hm = np.array([0.5, tie - 0.01, tie + 0.01, 200.0])
+        calls = self.count_expect(monkeypatch)
+        res = dominance_region([e_he], hm, self.CFG)
+        assert len(calls) == 1
+        (bp,) = res.boundary
+        assert bp.status == "ok"
+        assert bp.e_hm == 0.5 * (hm[1] + hm[2])
+        assert bp.gap_err == math.hypot(res.err_nocsi[0, 0], res.err_upper[0, 0])
