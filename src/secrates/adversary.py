@@ -110,7 +110,8 @@ def _prob_interval_geq(dist_m: GainDistribution, lo, hi, thr) -> float | np.ndar
 def _jam_threshold(r, sp: SystemParams, h_z=0.0) -> np.ndarray:
     """Least h_m whose main capacity under jamming gain h_z (0: unjammed)
     carries rate r; broadcasts over r and h_z."""
-    snr_thr = 2.0 ** np.asarray(r, dtype=float) - 1.0
+    with np.errstate(over="ignore"):  # past 1024 bits no finite SNR carries r
+        snr_thr = 2.0 ** np.asarray(r, dtype=float) - 1.0
     scale = 1.0 + sp.p_j * np.asarray(h_z, dtype=float)
     if sp.p == 0:  # zero power carries only the zero rate
         return np.where(snr_thr > 0, np.inf, 0.0) * scale

@@ -8,13 +8,14 @@ inverse-CDF transforms of one counter-based uniform stream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
 
-from .errors import NonConvergence
+from .errors import InvalidInput, NonConvergence, require
 
 EXPONENTIAL = "exponential"
 DETERMINISTIC = "deterministic"
@@ -29,13 +30,11 @@ class GainDistribution:
 
     def __post_init__(self):
         if self.kind == EXPONENTIAL:
-            if not 0 < self.param < np.inf:
-                raise ValueError("exponential mean must be positive and finite")
+            require(0 < self.param < np.inf, "exponential mean", "finite and > 0")
         elif self.kind == DETERMINISTIC:
-            if not 0 <= self.param < np.inf:
-                raise ValueError("deterministic gain must be nonnegative and finite")
+            require(0 <= self.param < np.inf, "deterministic gain", "finite and >= 0")
         else:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise InvalidInput(f"unknown distribution kind {self.kind!r}")
 
     @classmethod
     def exponential(cls, mean: float) -> "GainDistribution":
@@ -70,8 +69,7 @@ class GainDistribution:
     def ppf(self, q):
         """Quantile function (generalized inverse of the CDF)."""
         q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantile levels must lie in [0, 1]")
+        require(np.all((q >= 0) & (q <= 1)), "quantile level q", "in [0, 1]")
         if self.kind == EXPONENTIAL:
             out = -self.param * np.log1p(-np.minimum(q, 1.0 - 1e-16))
         else:
@@ -136,8 +134,8 @@ def _generator(seed: int) -> np.random.Generator:
 
 def sample(dist: ChannelTriple, seed: int, n: int) -> SampleBatch:
     """Draw n i.i.d. gain triples; bit-identical for identical inputs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require(isinstance(seed, numbers.Integral) and seed >= 0, "seed", "an integer >= 0")
+    require(isinstance(n, numbers.Integral) and n >= 1, "n", "an integer >= 1")
     u = _generator(seed).random((3, n))
     cols = [d.from_uniform(u[i]) for i, d in enumerate(dist.components())]
     return SampleBatch(seed=int(seed), n=int(n), values=np.stack(cols, axis=1))

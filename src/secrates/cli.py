@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +35,29 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
-_REGIMES = {
-    "no_csi": CsiRegime.NO_CSI,
-    "packet_feedback": CsiRegime.PACKET_FEEDBACK,
-    "pilot_feedback": CsiRegime.PILOT_FEEDBACK,
+
+_FINITE_NONNEG = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
+# Each scalar key: (coercion, range test, the range in words, default or None if
+# required).  The top-level scalars, each value of ``alphas``, and ``point.args``.
+_KEYS = {
+    "seed": (int, lambda v: v >= 0, ">= 0", 20240),
+    "samples": (int, lambda v: v >= 1, ">= 1", 1_000_000),
+    "rate_tol": (float, lambda v: 0.0 < v < np.inf, "finite and > 0", 1e-4),
+    "hz_star": (float, *_FINITE_NONNEG, None),
+    "hz_quantile": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)", 0.75),
+    "alpha": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]", None),
+    "R": (float, *_FINITE_NONNEG, None),
+    "r_s": (float, *_FINITE_NONNEG, None),
+    "x": (float, lambda v: not np.isnan(v), "a number", None),
+    "channel": (str, lambda v: v in ("h_m", "h_e", "h_z"), "h_m, h_e or h_z", "h_e"),
+    "regime": (CsiRegime, lambda v: True, "no_csi, packet_feedback or pilot_feedback", "no_csi"),
 }
+_DEFAULT_CHANNELS = {
+    "h_m": {"kind": "exponential", "mean": 10.0},
+    "h_e": {"kind": "exponential", "mean": 1.0},
+    "h_z": {"kind": "deterministic", "value": 1.0},
+}
+_AXIS = ("start", "stop", "num")
 
 
 def _fmt(x) -> str:
@@ -59,134 +78,105 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _parse_gain(section, where: str) -> GainDistribution:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError(f"{where}: expected a mapping with a 'kind' key")
-    kind = section["kind"]
+def _build(where: str, make, *args):
+    """``make(*args)``, or a ConfigError naming ``where`` (InvalidInput is a ValueError)."""
     try:
-        if kind == "exponential":
-            return GainDistribution.exponential(float(section["mean"]))
-        if kind == "deterministic":
-            return GainDistribution.deterministic(float(section["value"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown kind {kind!r}")
-
-
-def _parse_axis(section, where: str) -> np.ndarray:
-    try:
-        start, stop, num = float(section["start"]), float(section["stop"]), int(section["num"])
+        return make(*args)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: expected start/stop/num ({exc})") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _value(key: str, section: dict, where: str | None = None):
+    """``section[key]`` read through its ``_KEYS`` entry; errors name ``where`` (or ``key``)."""
+    coerce, ok, rule, default = _KEYS[key]
+    where = where or key
+    if key not in section and default is None:
+        raise ConfigError(f"{where}: missing")
+    value = _build(where, coerce, section.get(key, default))
+    if not ok(value):
+        raise ConfigError(f"{where}: must be {rule}, got {value!r}")
+    return value
+
+
+def _parse_gain(channels, name: str) -> GainDistribution:
+    where = f"channels.{name}"
+    section = channels.get(name) if isinstance(channels, dict) else None
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if kind not in ("exponential", "deterministic"):
+        raise ConfigError(f"{where}: expected a mapping whose kind is exponential or deterministic")
+    param = "mean" if kind == "exponential" else "value"
+    return _build(where, lambda: GainDistribution(kind, float(section[param])))
+
+
+def _parse_axis(section, where: str) -> tuple[float, float, int]:
+    """(start, stop, num) of a finite, positive, increasing axis."""
+    start, stop, num = _build(f"{where} (start/stop/num)", lambda: (
+        float(section["start"]), float(section["stop"]), int(section["num"])))
     if not (num >= 1 and 0 < start <= stop < np.inf and (num == 1 or stop > start)):
         raise ConfigError(f"{where}: axis must be finite, positive and increasing")
-    if section.get("spacing", "log") == "log":
-        return np.geomspace(start, stop, num)
-    return np.linspace(start, stop, num)
+    return start, stop, num
 
 
-def _coerce(kind, value, where: str):
-    """``kind(value)``, or a ConfigError naming the key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _axis(section, where: str) -> np.ndarray:
+    fields = _parse_axis(section, where)
+    return (np.geomspace if section.get("spacing", "log") == "log" else np.linspace)(*fields)
 
 
-def _resolve(config: dict) -> dict:
-    """Validate and fill defaults; returns the manifest-ready config."""
-    if not isinstance(config, dict):
-        raise ConfigError("top level: expected a mapping")
+@dataclass(frozen=True)
+class Experiment:
+    """A resolved config, as the manifest records it, and the library objects built from it."""
+
+    config: dict
+    sp: SystemParams
+    dist: ChannelTriple
+    search: SearchConfig
+    region: RegionConfig | None = None  # the H_z threshold; ergodic-region and point-eval
+    axes: tuple[np.ndarray, np.ndarray] | None = None  # (E[H_e], E[H_m]); ergodic-region
+
+
+def _resolve(config: dict) -> Experiment:
+    """Validate the config, fill in defaults and build the library objects."""
     scenario = config.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: expected one of {SCENARIOS}, got {scenario!r}")
-
     out = {
         "scenario": scenario,
-        "channels": config.get(
-            "channels",
-            {
-                "h_m": {"kind": "exponential", "mean": 10.0},
-                "h_e": {"kind": "exponential", "mean": 1.0},
-                "h_z": {"kind": "deterministic", "value": 1.0},
-            },
-        ),
+        "channels": config.get("channels", _DEFAULT_CHANNELS),
         "power": config.get("power", {"p": 1.0, "p_j": 1.0}),
-        "seed": _coerce(int, config.get("seed", 20240), "seed"),
-        "samples": _coerce(int, config.get("samples", 1_000_000), "samples"),
-        "rate_tol": _coerce(float, config.get("rate_tol", 1e-4), "rate_tol"),
+        **{key: _value(key, config) for key in ("seed", "samples", "rate_tol")},
     }
-    # validate eagerly so errors name the offending key
-    if not isinstance(out["channels"], dict):
-        raise ConfigError("channels: expected a mapping")
-    for name in ("h_m", "h_e", "h_z"):
-        if name not in out["channels"]:
-            raise ConfigError(f"channels.{name}: missing")
-        _parse_gain(out["channels"][name], f"channels.{name}")
-    try:
-        SystemParams(float(out["power"]["p"]), float(out["power"]["p_j"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"power: {exc}") from exc
-    if out["samples"] < 1:
-        raise ConfigError("samples: must be >= 1")
-    if out["seed"] < 0:
-        raise ConfigError("seed: must be >= 0")
-    if not out["rate_tol"] > 0.0:
-        raise ConfigError("rate_tol: must be > 0")
+    dist = ChannelTriple(*(_parse_gain(out["channels"], name) for name in ("h_m", "h_e", "h_z")))
+    sp = _build("power", lambda: SystemParams(float(out["power"]["p"]), float(out["power"]["p_j"])))
+    search = SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
 
     if scenario == "delay-limited-sweep":
         alphas = config.get("alphas")
-        if not alphas:
+        if not isinstance(alphas, list) or not alphas:
             raise ConfigError("alphas: a non-empty list is required for the sweep")
-        alphas = _coerce(lambda v: [float(a) for a in v], alphas, "alphas")
-        if any(not (0.0 < a <= 1.0) for a in alphas):
-            raise ConfigError("alphas: every value must lie in (0, 1]")
-        out["alphas"] = sorted(alphas)
-    elif scenario == "ergodic-region":
+        out["alphas"] = sorted(_value("alpha", {"alpha": a}, "alphas") for a in alphas)
+        return Experiment(out, sp, dist, search)
+    axes = None
+    if scenario == "ergodic-region":
         grid = config.get("grid")
         if not isinstance(grid, dict) or "he" not in grid or "hm" not in grid:
             raise ConfigError("grid: he and hm axes are required for ergodic-region")
-        _parse_axis(grid["he"], "grid.he")
-        _parse_axis(grid["hm"], "grid.hm")
+        axes = _axis(grid["he"], "grid.he"), _axis(grid["hm"], "grid.hm")
         out["grid"] = grid
     else:
         point = config.get("point")
         if not isinstance(point, dict) or "op" not in point:
             raise ConfigError("point: a mapping with an 'op' key is required")
         out["point"] = point
-    if scenario != "delay-limited-sweep":
-        if "hz_star" in config:
-            out["hz_star"] = _coerce(float, config["hz_star"], "hz_star")
-            if not 0.0 <= out["hz_star"] < np.inf:
-                raise ConfigError("hz_star: must be finite and >= 0")
-        elif "hz_quantile" in config or scenario == "ergodic-region":
-            out["hz_quantile"] = _coerce(float, config.get("hz_quantile", 0.75), "hz_quantile")
-            if not 0.0 < out["hz_quantile"] < 1.0:
-                raise ConfigError("hz_quantile: must lie in (0, 1)")
-    return out
-
-
-def _channels(resolved) -> ChannelTriple:
-    c = resolved["channels"]
-    return ChannelTriple(
-        _parse_gain(c["h_m"], "channels.h_m"),
-        _parse_gain(c["h_e"], "channels.h_e"),
-        _parse_gain(c["h_z"], "channels.h_z"),
-    )
-
-
-def _sp(resolved) -> SystemParams:
-    return SystemParams(float(resolved["power"]["p"]), float(resolved["power"]["p_j"]))
-
-
-def _hz_star(resolved, dist_z: GainDistribution) -> float:
-    if "hz_star" in resolved:
-        return float(resolved["hz_star"])
-    return float(dist_z.ppf(resolved.get("hz_quantile", 0.75)))
+    if "hz_star" in config:
+        out["hz_star"] = _value("hz_star", config)
+    elif "hz_quantile" in config or scenario == "ergodic-region":
+        out["hz_quantile"] = _value("hz_quantile", config)
+    region = RegionConfig(sp, dist.h_z, out.get("hz_quantile", 0.75), out.get("hz_star"))
+    return Experiment(out, sp, dist, search, region, axes)
 
 
 def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str],
-                    results: dict, wall_clock: float) -> Path:
+                    results: dict, wall_clock: float) -> None:
     manifest = {
         "tool": "secrates",
         "version": __version__,
@@ -198,30 +188,17 @@ def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str],
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
-def run_delay_limited_sweep(resolved: dict, out_dir: Path) -> int:
-    dist = _channels(resolved)
-    sp = _sp(resolved)
-    cfg = SearchConfig(
-        rate_tol=resolved["rate_tol"], mc_n=resolved["samples"], seed=resolved["seed"]
-    )
+def run_delay_limited_sweep(exp: Experiment, out_dir: Path) -> int:
     t0 = time.monotonic()
     rows = []
     results = {}
-    any_feasible = False
-    for alpha in resolved["alphas"]:
-        row = [alpha]
-        errs = []
-        flags = []
-        for regime in (CsiRegime.NO_CSI, CsiRegime.PACKET_FEEDBACK, CsiRegime.PILOT_FEEDBACK):
-            sol = solve(regime, sp, dist, alpha, cfg)
-            row.append(sol.r_s_star)
-            errs.append(sol.report.std_err)
-            flags.append(not sol.report.feasible)
-            any_feasible = any_feasible or sol.report.feasible
-        rows.append(row + errs + flags)
+    for alpha in exp.config["alphas"]:
+        sols = [solve(regime, exp.sp, exp.dist, alpha, exp.search) for regime in CsiRegime]
+        errs = [sol.report.std_err for sol in sols]
+        rows.append([alpha] + [sol.r_s_star for sol in sols] + errs
+                    + [not sol.report.feasible for sol in sols])
         results[f"alpha_{alpha:g}"] = {"stderr_pilot": errs[2]}
     header = [
         "alpha", "r_s_nocsi", "r_s_packet", "r_s_pilot",
@@ -230,24 +207,14 @@ def run_delay_limited_sweep(resolved: dict, out_dir: Path) -> int:
     ]
     csv_path = out_dir / "delay_limited_sweep.csv"
     _write_csv(csv_path, header, rows)
-    _write_manifest(out_dir, resolved, [csv_path.name], results, time.monotonic() - t0)
+    _write_manifest(out_dir, exp.config, [csv_path.name], results, time.monotonic() - t0)
     print(f"wrote {csv_path}")
-    return EXIT_OK if any_feasible else EXIT_INFEASIBLE
+    return EXIT_INFEASIBLE if all(all(row[7:]) for row in rows) else EXIT_OK
 
 
-def run_ergodic_region(resolved: dict, out_dir: Path) -> int:
-    dist = _channels(resolved)
-    sp = _sp(resolved)
-    he = _parse_axis(resolved["grid"]["he"], "grid.he")
-    hm = _parse_axis(resolved["grid"]["hm"], "grid.hm")
-    rcfg = RegionConfig(
-        sp=sp,
-        h_z=dist.h_z,
-        hz_quantile=resolved.get("hz_quantile"),
-        hz_star=resolved.get("hz_star"),
-    )
+def run_ergodic_region(exp: Experiment, out_dir: Path) -> int:
     t0 = time.monotonic()
-    region = dominance_region(he, hm, rcfg)
+    region = dominance_region(*exp.axes, exp.region)
 
     grid_rows = []
     for i, e_he in enumerate(region.he_means):
@@ -265,69 +232,46 @@ def run_ergodic_region(resolved: dict, out_dir: Path) -> int:
         grid_rows,
     )
 
-    boundary_rows = [
-        [b.e_he, b.e_hm, b.status, b.gap_err] for b in region.boundary
-    ]
     boundary_path = out_dir / "ergodic_boundary.csv"
-    _write_csv(boundary_path, ["e_he", "e_hm_boundary", "status", "gap_err"], boundary_rows)
+    _write_csv(boundary_path, ["e_he", "e_hm_boundary", "status", "gap_err"],
+               [[b.e_he, b.e_hm, b.status, b.gap_err] for b in region.boundary])
 
     n_ok = sum(1 for b in region.boundary if b.status == "ok")
     _write_manifest(
-        out_dir, resolved, [grid_path.name, boundary_path.name],
+        out_dir, exp.config, [grid_path.name, boundary_path.name],
         {"boundary_points": n_ok}, time.monotonic() - t0,
     )
     print(f"wrote {grid_path} and {boundary_path}")
     return EXIT_OK
 
 
-def run_point_eval(resolved: dict, out_dir: Path) -> int:
-    dist = _channels(resolved)
-    sp = _sp(resolved)
-    point = resolved["point"]
+def run_point_eval(exp: Experiment, out_dir: Path) -> int:
+    point = exp.config["point"]
     op = point["op"]
     args = point.get("args", {}) or {}
     if not isinstance(args, dict):
         raise ConfigError("point.args: expected a mapping")
 
-    def arg(key: str) -> float:
-        if key not in args:
-            raise ConfigError(f"point.args.{key}: missing")
-        return _coerce(float, args[key], f"point.args.{key}")
-
-    def regime() -> CsiRegime:
-        out = _REGIMES.get(str(args.get("regime", "no_csi")))
-        if out is None:
-            raise ConfigError(f"point.args.regime: unknown regime {args.get('regime')!r}")
-        return out
-
     if op == "cdf":
-        which = args.get("channel", "h_e")
-        if which not in ("h_m", "h_e", "h_z"):
-            raise ConfigError(f"point.args.channel: unknown channel {which!r}")
-        value = getattr(dist, which).cdf(arg("x"))
+        which = _value("channel", args, "point.args.channel")
+        value = getattr(exp.dist, which).cdf(_value("x", args, "point.args.x"))
         print(f"cdf[{which}]({args['x']}) = {value!r}")
     elif op in ("rate_nocsi", "rate_upper_bound", "rate_arq"):
-        cfg = ErgodicConfig(sp, dist, _hz_star(resolved, dist.h_z))
         fn = {"rate_nocsi": rate_nocsi, "rate_upper_bound": rate_upper_bound,
               "rate_arq": rate_arq}[op]
-        value, err = fn(cfg)
+        value, err = fn(ErgodicConfig(exp.sp, exp.dist, exp.region.resolve_hz_star()))
         print(f"{op} = {value!r} +- {err!r}")
     elif op == "c_min_closed_form":
-        reg = regime()
-        rate, r_s = arg("R"), arg("r_s")
-        for key, v in (("R", rate), ("r_s", r_s)):
-            if not 0.0 <= v < np.inf:
-                raise ConfigError(f"point.args.{key}: must be finite and >= 0")
+        reg = _value("regime", args, "point.args.regime")
+        rate, r_s = (_value(key, args, f"point.args.{key}") for key in ("R", "r_s"))
         try:
-            value = c_min_closed_form(reg, RatePolicy.constant(rate), r_s, sp, dist)
+            value = c_min_closed_form(reg, RatePolicy.constant(rate), r_s, exp.sp, exp.dist)
         except UnsupportedRegime as exc:
             raise ConfigError(f"point.args.regime: {exc}") from exc
         print(f"c_min_closed_form[{reg.value}](R={args['R']}, r_s={args['r_s']}) = {value!r}")
     elif op == "solve":
-        reg = regime()
-        cfg = SearchConfig(rate_tol=resolved["rate_tol"], mc_n=resolved["samples"],
-                           seed=resolved["seed"])
-        sol = solve(reg, sp, dist, arg("alpha"), cfg)
+        reg = _value("regime", args, "point.args.regime")
+        sol = solve(reg, exp.sp, exp.dist, _value("alpha", args, "point.args.alpha"), exp.search)
         print(
             f"solve[{reg.value}](alpha={args['alpha']}) = {sol.r_s_star!r} "
             f"(C={sol.report.c_min!r} +- {sol.report.std_err!r}, "
@@ -361,57 +305,52 @@ def _axis_from_flag(flag: str, where: str) -> dict:
     parts = flag.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{where}: expected start:stop:num")
-    return {"start": float(parts[0]), "stop": float(parts[1]), "num": int(parts[2])}
+    return dict(zip(_AXIS, _parse_axis(dict(zip(_AXIS, parts)), where)))
 
 
 def _load_config(args) -> dict:
     if args.rerun is not None:
         try:
             manifest = json.loads(args.rerun.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
             raise ConfigError(f"--rerun: {exc}") from exc
-        if "config" not in manifest:
-            raise ConfigError("--rerun: manifest has no 'config' section")
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+            raise ConfigError("--rerun: manifest has no 'config' mapping")
         return manifest["config"]
 
     config = {}
     if args.config is not None:
         try:
             config = yaml.safe_load(args.config.read_text(encoding="utf-8")) or {}
-        except (OSError, yaml.YAMLError) as exc:
+        except (OSError, ValueError, yaml.YAMLError) as exc:
             raise ConfigError(f"--config: {exc}") from exc
-    if args.scenario:
-        config["scenario"] = args.scenario
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.samples is not None:
-        config["samples"] = args.samples
-    if args.alpha:
-        config["alphas"] = args.alpha
-    if args.hz_quantile is not None:
-        config["hz_quantile"] = args.hz_quantile
-    if args.grid_he or args.grid_hm:
-        grid = dict(config.get("grid") or {})
-        if args.grid_he:
-            grid["he"] = _axis_from_flag(args.grid_he, "--grid-he")
-        if args.grid_hm:
-            grid["hm"] = _axis_from_flag(args.grid_hm, "--grid-hm")
-        config["grid"] = grid
+        if not isinstance(config, dict):
+            raise ConfigError("--config: expected a mapping")
+    for dest, key in (("scenario", "scenario"), ("seed", "seed"), ("samples", "samples"),
+                      ("alpha", "alphas"), ("hz_quantile", "hz_quantile")):
+        if getattr(args, dest) is not None:
+            config[key] = getattr(args, dest)
+    for axis in ("he", "hm"):
+        flag = getattr(args, f"grid_{axis}")
+        if flag is not None:
+            grid = config.get("grid")
+            grid = dict(grid) if isinstance(grid, dict) else {}
+            grid[axis] = _axis_from_flag(flag, f"--grid-{axis}")
+            config["grid"] = grid
     return config
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        resolved = _resolve(_load_config(args))
-        out_dir = args.out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
+        exp = _resolve(_load_config(args))
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         runner = {
             "delay-limited-sweep": run_delay_limited_sweep,
             "ergodic-region": run_ergodic_region,
             "point-eval": run_point_eval,
-        }[resolved["scenario"]]
-        return runner(resolved, out_dir)
+        }[exp.config["scenario"]]
+        return runner(exp, args.out_dir)
     except (NonConvergence, NonMonotone) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -11,6 +11,7 @@ a bisection.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import adversary as adv
 from .adversary import CsiRegime, JammingRule
 from .channels import ChannelTriple, GainDistribution, MonteCarlo, SampleBatch, sample, substream
 from .errors import (AlphaOutOfRange, InvalidRates, NonMonotone, PolicyRegimeMismatch,
-                     UnsupportedRegime)
+                     UnsupportedRegime, require)
 from .phy_rates import (SystemParams, rate_eve, rate_main_clear, rate_main_jammed,
                         success_given_capacities, success_indicator)
 from .policies import RatePolicy, cell_index
@@ -51,6 +52,14 @@ class SearchConfig:
     seed: int = 20240
     n_knots: int = 256
     r_cap: float = 64.0
+
+    def __post_init__(self):
+        require(0 < self.rate_tol < np.inf, "rate_tol", "finite and > 0")
+        require(0 < self.r_cap < np.inf, "r_cap", "finite and > 0")
+        for arg, least in (("mc_n", 1), ("seed", 0), ("n_knots", 1)):
+            value = getattr(self, arg)
+            require(isinstance(value, numbers.Integral) and value >= least, arg,
+                    f"an integer >= {least}")
 
 
 def _check_regime(regime: CsiRegime, policy: RatePolicy, rule: JammingRule | None = None):
@@ -130,7 +139,8 @@ def _secrecy_factor(r, r_s: float, sp: SystemParams, dist_e: GainDistribution):
     """P[log2(1 + p*H_e) <= r - r_s]; vectorized over r."""
     if sp.p == 0:
         return np.where(r >= r_s, 1.0, 0.0)
-    return dist_e.cdf((2.0 ** (r - r_s) - 1.0) / sp.p)
+    with np.errstate(over="ignore"):  # a margin past 1024 bits admits every h_e
+        return dist_e.cdf((2.0 ** (r - r_s) - 1.0) / sp.p)
 
 
 def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple):
@@ -145,6 +155,9 @@ def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple):
     if dist.h_z.is_degenerate or sp.p_j == 0 or sp.p == 0:
         return adv._prob_interval_geq(dist.h_m, lo, hi, adv._jam_threshold(r, sp, dist.h_z.param))
     lo, hi, c = np.broadcast_arrays(lo, hi, adv._jam_threshold(r, sp))
+    if not (c < np.inf).all():  # no finite h_m carries these rates: no mass
+        dead = c == np.inf
+        return np.where(dead, 0.0, _cell_jam_mass(lo, hi, np.where(dead, 0.0, r), sp, dist))
     crossing = lambda x: np.maximum(  # a zero threshold never crosses
         (np.divide(x, c, out=np.full(c.shape, np.inf), where=c > 0) - 1.0) / sp.p_j, 0.0)
     if dist.h_m.is_degenerate:
@@ -247,6 +260,7 @@ def optimize_policy_packet(
     probability mass.
     """
     _check_secrecy_rate(r_s)
+    require(isinstance(n_knots, numbers.Integral) and n_knots >= 1, "n_knots", "an integer >= 1")
     knots_h, reps = _packet_knots(dist.h_m, n_knots)
     if dist.h_z.is_degenerate or sp.p_j == 0:
         # The jamming factor is a step in r.  Pin the rate to the jammed
@@ -376,8 +390,6 @@ def solve(
     cfg = cfg or SearchConfig()
     if not (0.0 < alpha <= 1.0):
         raise AlphaOutOfRange("alpha must lie in (0, 1]")
-    if not cfg.rate_tol > 0.0:
-        raise ValueError("rate_tol must be positive")
 
     def cmin(r_s: float) -> tuple[float, float, RatePolicy]:
         if regime is CsiRegime.NO_CSI:

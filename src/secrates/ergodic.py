@@ -41,6 +41,7 @@ from .channels import (
     expect,
     sample,
 )
+from .errors import require
 from .phy_rates import SystemParams
 
 _LN2 = math.log(2.0)
@@ -53,8 +54,7 @@ class ErgodicConfig:
     hz_star: float  # block-by-block encoding threshold on the jamming gain
 
     def __post_init__(self):
-        if self.hz_star < 0:
-            raise ValueError("hz_star must be nonnegative")
+        require(0 <= self.hz_star < np.inf, "hz_star", "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,13 @@ class RegionConfig:
     hz_quantile: float | None = 0.75
     hz_star: float | None = None
 
+    def __post_init__(self):
+        if self.hz_star is None:
+            require(self.hz_quantile is not None and 0 < self.hz_quantile < 1, "hz_quantile",
+                    "in (0, 1) when hz_star is None")
+        else:
+            require(0 <= self.hz_star < np.inf, "hz_star", "finite and >= 0")
+
     def resolve_hz_star(self) -> float:
         if self.hz_star is not None:
             return float(self.hz_star)
@@ -232,10 +239,10 @@ def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
     """
     he_means = np.asarray(he_means, dtype=float)
     hm_means = np.asarray(hm_means, dtype=float)
-    if np.any(he_means <= 0) or np.any(hm_means <= 0):
-        raise ValueError("grid axes must be positive")
-    if np.any(np.diff(he_means) <= 0) or np.any(np.diff(hm_means) <= 0):
-        raise ValueError("grid axes must be strictly increasing")
+    for arg, axis in (("he_means", he_means), ("hm_means", hm_means)):
+        require(axis.ndim == 1 and axis.size > 0 and np.all((axis > 0) & (axis < np.inf))
+                and np.all(np.diff(axis) > 0), arg, "a nonempty 1-D array, finite, positive "
+                "and strictly increasing")
     scale = float(cfg.h_z.cdf(cfg.resolve_hz_star()))
 
     def rates_at(e_hm, e_he):

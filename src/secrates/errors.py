@@ -5,6 +5,16 @@ class SecratesError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(SecratesError, ValueError):
+    """An argument lies outside its documented range; the message names it."""
+
+
+def require(ok: bool, arg: str, rule: str) -> None:
+    """Raise :class:`InvalidInput` saying ``arg`` must be ``rule``, unless ``ok``."""
+    if not ok:
+        raise InvalidInput(f"{arg} must be {rule}")
+
+
 class NonConvergence(SecratesError):
     """Adaptive quadrature failed to meet the requested tolerance."""
 
@@ -25,7 +35,7 @@ class UnsupportedRegime(SecratesError):
     """The requested closed form does not exist for this CSI regime."""
 
 
-class AlphaOutOfRange(SecratesError):
+class AlphaOutOfRange(InvalidInput):
     """Outage threshold must lie in (0, 1]."""
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRates
+from .errors import InvalidRates, require
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class SystemParams:
     p_j: float
 
     def __post_init__(self):
-        if not (0 <= self.p < np.inf and 0 <= self.p_j < np.inf):
-            raise ValueError("powers must be nonnegative and finite")
+        require(0 <= self.p < np.inf, "p", "finite and >= 0")
+        require(0 <= self.p_j < np.inf, "p_j", "finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import require
+
 CONSTANT = "constant"
 TABULATED = "tabulated"
 
@@ -27,20 +29,18 @@ class RatePolicy:
 
     @classmethod
     def constant(cls, rate: float) -> "RatePolicy":
-        if rate < 0:
-            raise ValueError("rate must be nonnegative")
+        require(0 <= rate < np.inf, "rate", "finite and >= 0")
         return cls(CONSTANT, rate=float(rate))
 
     @classmethod
     def tabulated(cls, knots_h, knots_r) -> "RatePolicy":
         h = np.asarray(knots_h, dtype=float)
         r = np.asarray(knots_r, dtype=float)
-        if h.ndim != 1 or h.shape != r.shape or h.size == 0:
-            raise ValueError("knots must be equal-length 1-D arrays")
-        if np.any(np.diff(h) <= 0):
-            raise ValueError("knot positions must be strictly increasing")
-        if np.any(r < 0):
-            raise ValueError("rates must be nonnegative")
+        require(h.ndim == 1 and h.shape == r.shape and h.size > 0, "knots_h and knots_r",
+                "nonempty 1-D arrays of equal length")
+        require(np.all(np.isfinite(h)) and np.all(np.diff(h) > 0), "knots_h",
+                "finite and strictly increasing")
+        require(np.all((r >= 0) & (r < np.inf)), "knots_r", "finite and >= 0")
         return cls(TABULATED, knots_h=h, knots_r=r)
 
     @property

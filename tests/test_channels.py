@@ -67,6 +67,9 @@ class TestSampling:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             sample(det_triple(1, 1, 1), seed=0, n=0)
+        for seed, n in ((0, 2.5), (0, math.inf), (-1, 4), (1.5, 4)):
+            with pytest.raises(ValueError):
+                sample(det_triple(1, 1, 1), seed=seed, n=n)
 
 
 class TestCdf:

@@ -93,6 +93,17 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--grid-he", "x:2:3", "--grid-hm", "1:10:2"], "--grid-he"),
+        (["--grid-he", "0.5:2:1e400", "--grid-hm", "1:10:2"], "--grid-he"),
+        (["--grid-he", "0.5:2:2", "--grid-hm", "1:10"], "--grid-hm"),
+    ])
+    def test_malformed_grid_flag(self, tmp_path, capsys, flags, flag):
+        argv = ["--scenario", "ergodic-region", "--out-dir", str(tmp_path), *flags]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
     def test_oversized_samples(self, tmp_path, capsys):
         # 10**15 draws exceed the address space, so the allocation fails at once
         cfg = write_config(tmp_path / "c.yaml", {

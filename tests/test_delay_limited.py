@@ -21,7 +21,8 @@ from secrates.delay_limited import (
     solve,
 )
 from secrates.errors import (
-    AlphaOutOfRange, InvalidRates, NonMonotone, PolicyRegimeMismatch, UnsupportedRegime,
+    AlphaOutOfRange, InvalidInput, InvalidRates, NonMonotone, PolicyRegimeMismatch,
+    UnsupportedRegime,
 )
 
 from conftest import det_triple
@@ -230,6 +231,11 @@ class TestPacketPolicy:
         policy, _ = optimize_policy_packet(1.2, sp, dist, n_knots=64)
         assert np.all(policy.knots_r >= 1.2)
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan, math.inf])
+    def test_knot_count_validation(self, bad, paper_delay_setup):
+        with pytest.raises(InvalidInput, match="n_knots"):
+            optimize_policy_packet(0.5, *paper_delay_setup, n_knots=bad)
+
     def test_more_knots_never_hurt(self, paper_delay_setup):
         sp, dist = paper_delay_setup
         _, c64 = optimize_policy_packet(0.5, sp, dist, n_knots=64)
@@ -347,6 +353,17 @@ class TestSolve:
         for bad in (math.nan, 0.0, -1.0):
             with pytest.raises(ValueError, match="rate_tol"):
                 solve(CsiRegime.NO_CSI, sp, dist, 0.5, SearchConfig(rate_tol=bad))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("r_cap", math.nan), ("r_cap", -1.0), ("r_cap", math.inf), ("rate_tol", math.inf),
+        ("n_knots", 2.5), ("n_knots", 0), ("seed", -1), ("seed", 1.5), ("mc_n", 0),
+        ("mc_n", 1e6),
+    ])
+    def test_search_config_validation(self, field, bad):
+        # r_cap nan or -1 used to report r_s* = 0 as feasible; seed -1 and
+        # mc_n 0 failed inside numpy
+        with pytest.raises(InvalidInput, match=field):
+            SearchConfig(**{field: bad})
 
     def test_deterministic_channels_exact_rate(self):
         # h_m=3, h_e=0, h_z=1: every block succeeds iff the rate fits the

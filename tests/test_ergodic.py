@@ -6,6 +6,7 @@ import pytest
 from scipy import optimize
 
 from secrates import ChannelTriple, GainDistribution, MonteCarlo, SystemParams, channels, ergodic
+from secrates.errors import InvalidInput
 from secrates.ergodic import (
     ErgodicConfig,
     RegionConfig,
@@ -98,6 +99,21 @@ class TestEdgeCases:
         sp, dist = paper_ergodic_setup
         with pytest.raises(ValueError):
             ErgodicConfig(sp, dist, hz_star=-1.0)
+
+    def test_meaningless_threshold_rejected(self, paper_ergodic_setup):
+        # a nan threshold used to give r_upper = 0 everywhere, and hz_quantile
+        # 1.0 a clamped quantile of 36.7
+        sp, dist = paper_ergodic_setup
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInput, match="hz_star"):
+                ErgodicConfig(sp, dist, hz_star=bad)
+            with pytest.raises(InvalidInput, match="hz_star"):
+                RegionConfig(sp, dist.h_z, hz_star=bad)
+        for bad in (math.nan, 0.0, 1.0, None):
+            with pytest.raises(InvalidInput, match="hz_quantile"):
+                RegionConfig(sp, dist.h_z, hz_quantile=bad)
+        with pytest.raises(InvalidInput, match="quantile"):
+            dist.h_z.ppf(math.nan)
 
 
 class TestAgainstIndependentOracle:
@@ -234,6 +250,11 @@ class TestDominanceRegion:
             dominance_region([1.0, 0.5], [1.0, 2.0], cfg)
         with pytest.raises(ValueError):
             dominance_region([1.0, 2.0], [-1.0, 2.0], cfg)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dominance_region([1.0, bad], [1.0, 2.0], cfg)
+            with pytest.raises(ValueError):
+                dominance_region([1.0, 2.0], [bad, 2.0], cfg)
 
     def test_boundary_brackets_the_scalar_tie(self):
         # every reported tie lies within half the stopping width of a sign

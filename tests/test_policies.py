@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,14 @@ def test_tabulated_gap_below_first_knot():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        RatePolicy.constant(-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RatePolicy.constant(bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RatePolicy.tabulated([0.0, 1.0], [1.0, bad])
+        with pytest.raises(ValueError):
+            RatePolicy.tabulated([0.0, bad], [1.0, 1.0])
     with pytest.raises(ValueError):
         RatePolicy.tabulated([1.0, 1.0], [0.1, 0.2])
     with pytest.raises(ValueError):
