@@ -7,7 +7,6 @@ from .channels import (  # noqa: F401
     ChannelTriple,
     GainDistribution,
     MonteCarlo,
-    Quadrature,
     SampleBatch,
     expect,
     sample,
@@ -23,11 +22,10 @@ from .delay_limited import (  # noqa: F401
 )
 from .ergodic import (  # noqa: F401
     ErgodicConfig,
-    ErgodicRates,
     dominance_region,
     rate_arq,
     rate_nocsi,
     rate_upper_bound,
 )
-from .phy_rates import BlockRealization, SystemParams  # noqa: F401
+from .phy_rates import SystemParams  # noqa: F401
 from .policies import RatePolicy  # noqa: F401

@@ -110,12 +110,12 @@ def _prob_interval_geq(dist_m: GainDistribution, lo, hi, thr) -> float | np.ndar
 def _jam_threshold(r, sp: SystemParams, h_z=0.0) -> np.ndarray:
     """Least h_m whose main capacity under jamming gain h_z (0: unjammed)
     carries rate r; broadcasts over r and h_z."""
-    with np.errstate(over="ignore"):  # past 1024 bits no finite SNR carries r
-        snr_thr = 2.0 ** np.asarray(r, dtype=float) - 1.0
     scale = 1.0 + sp.p_j * np.asarray(h_z, dtype=float)
-    if sp.p == 0:  # zero power carries only the zero rate
-        return np.where(snr_thr > 0, np.inf, 0.0) * scale
-    return snr_thr * scale / sp.p
+    with np.errstate(over="ignore"):  # past 1024 bits, or a huge scale: no finite h_m carries r
+        snr_thr = 2.0 ** np.asarray(r, dtype=float) - 1.0
+        if sp.p == 0:  # zero power carries only the zero rate
+            return np.where(snr_thr > 0, np.inf, 0.0) * scale
+        return snr_thr * scale / sp.p
 
 
 def pilot_payoffs(
@@ -146,10 +146,10 @@ def pilot_payoffs(
     return jam, eaves
 
 
-def _pilot_grids(dist: ChannelTriple, grid_size: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile-mapped (h_e, h_z) grids of the pilot payoffs; one point per non-fading link."""
+def _pilot_grids(dist: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:
+    """200-point quantile-mapped (h_e, h_z) pilot payoff grids; one point per non-fading link."""
     axis = lambda d: (np.array([d.param]) if d.is_degenerate
-                      else d.ppf((np.arange(grid_size) + 0.5) / grid_size))
+                      else d.ppf((np.arange(200) + 0.5) / 200))
     return axis(dist.h_e), axis(dist.h_z)
 
 
@@ -167,7 +167,6 @@ def best_response_pilot(
     r_s: float,
     sp: SystemParams,
     dist: ChannelTriple,
-    grid_size: int = 200,
 ) -> JammingRule:
     """Best response when the adversary sees (h_e, h_z).
 
@@ -178,7 +177,7 @@ def best_response_pilot(
     and looked up by nearest neighbor, since the rule is evaluated inside
     optimizer and Monte Carlo loops.
     """
-    he_grid, hz_grid = _pilot_grids(dist, grid_size)
+    he_grid, hz_grid = _pilot_grids(dist)
     jam_pay, eaves_pay = pilot_payoffs(policy, r_s, sp, dist, he_grid, hz_grid)
 
     def decide(h_m, h_e, h_z):

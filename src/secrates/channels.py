@@ -19,6 +19,7 @@ from .errors import InvalidInput, NonConvergence, require
 
 EXPONENTIAL = "exponential"
 DETERMINISTIC = "deterministic"
+_QUAD_TOL = 1e-9  # absolute tolerance of expect's quadrature
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class ChannelTriple:
 class SampleBatch:
     """A reproducible batch of i.i.d. gain triples, shape (n, 3)."""
 
-    seed: int
     n: int
     values: np.ndarray
 
@@ -138,60 +138,43 @@ def sample(dist: ChannelTriple, seed: int, n: int) -> SampleBatch:
     require(isinstance(n, numbers.Integral) and n >= 1, "n", "an integer >= 1")
     u = _generator(seed).random((3, n))
     cols = [d.from_uniform(u[i]) for i, d in enumerate(dist.components())]
-    return SampleBatch(seed=int(seed), n=int(n), values=np.stack(cols, axis=1))
+    return SampleBatch(n=int(n), values=np.stack(cols, axis=1))
 
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Expectation by seeded Monte Carlo averaging."""
+    """Estimate by averaging ``n`` draws of :func:`sample` keyed by ``seed``."""
 
     seed: int
     n: int = 1_000_000
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Expectation by adaptive quadrature to an absolute tolerance."""
-
-    tol: float = 1e-9
-    limit: int = 400
-
-
 def expect(
     dist: GainDistribution,
     f: Callable[[np.ndarray], np.ndarray],
-    method: MonteCarlo | Quadrature,
 ) -> tuple[float | np.ndarray, float]:
-    """Estimate E[f(H)]; returns (value, error_estimate).
+    """E[f(H)] by adaptive quadrature; returns (value, error_estimate).
 
-    Under quadrature ``f`` may be array-valued: it is called with one
-    scalar gain at a time and the value has the shape of its result.
-    The error estimate is the Monte Carlo standard error, or the quadrature
-    tolerance met by every element: the requested one, or 1e-12 of the
-    largest element when that is larger.  For a point mass the value is
-    exact and the error is zero.
+    ``f`` may be array-valued: it is called with one scalar gain at a time
+    and the value has the shape of its result.  The error estimate is the
+    tolerance met by every element: 1e-9, or 1e-12 of the largest element
+    when that is larger.  For a point mass the value is exact and the error
+    is zero.
     """
     if dist.is_degenerate:
         out = np.asarray(f(np.asarray(dist.param)), dtype=float)
         return (out if out.ndim else float(out)), 0.0
-
-    if isinstance(method, MonteCarlo):
-        x = dist.from_uniform(_generator(method.seed).random(method.n))
-        vals = np.asarray(f(x), dtype=float)
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / np.sqrt(method.n))
-        return mean, stderr
 
     # Integrate over u = x/mu against e^{-u}, so that the rule does not
     # depend on the scale of the mean.
     mu = dist.param
     value, abserr, info = integrate.quad_vec(
         lambda u: np.asarray(f(np.asarray(mu * u)), dtype=float) * np.exp(-u),
-        0.0, np.inf, epsabs=method.tol, epsrel=1e-12, norm="max",
-        limit=method.limit, full_output=True,
+        0.0, np.inf, epsabs=_QUAD_TOL, epsrel=1e-12, norm="max",
+        limit=400, full_output=True,
     )
     value = np.asarray(value, dtype=float)
-    bound = max(method.tol, 1e-12 * float(np.max(np.abs(value))))
+    bound = max(_QUAD_TOL, 1e-12 * float(np.max(np.abs(value))))
     if info.status != 0 or abserr > bound:
         raise NonConvergence(
             f"quadrature error {abserr:.3g} exceeds tolerance {bound:.3g}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -36,12 +37,21 @@ EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
 
+def _integer(v) -> int:
+    """``v`` as an int; a float or numeric string must be integral (1.0e6, not 1.9)."""
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if not float(v).is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(float(v))
+
+
 _FINITE_NONNEG = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 # Each scalar key: (coercion, range test, the range in words, default or None if
 # required).  The top-level scalars, each value of ``alphas``, and ``point.args``.
 _KEYS = {
-    "seed": (int, lambda v: v >= 0, ">= 0", 20240),
-    "samples": (int, lambda v: v >= 1, ">= 1", 1_000_000),
+    "seed": (_integer, lambda v: v >= 0, ">= 0", 20240),
+    "samples": (_integer, lambda v: v >= 1, ">= 1", 1_000_000),
     "rate_tol": (float, lambda v: 0.0 < v < np.inf, "finite and > 0", 1e-4),
     "hz_star": (float, *_FINITE_NONNEG, None),
     "hz_quantile": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)", 0.75),
@@ -111,7 +121,7 @@ def _parse_gain(channels, name: str) -> GainDistribution:
 def _parse_axis(section, where: str) -> tuple[float, float, int]:
     """(start, stop, num) of a finite, positive, increasing axis."""
     start, stop, num = _build(f"{where} (start/stop/num)", lambda: (
-        float(section["start"]), float(section["stop"]), int(section["num"])))
+        float(section["start"]), float(section["stop"]), _integer(section["num"])))
     if not (num >= 1 and 0 < start <= stop < np.inf and (num == 1 or stop > start)):
         raise ConfigError(f"{where}: axis must be finite, positive and increasing")
     return start, stop, num
@@ -130,7 +140,7 @@ class Experiment:
     sp: SystemParams
     dist: ChannelTriple
     search: SearchConfig
-    region: RegionConfig | None = None  # the H_z threshold; ergodic-region and point-eval
+    hz_star: float | None = None  # the H_z threshold; ergodic-region and point-eval
     axes: tuple[np.ndarray, np.ndarray] | None = None  # (E[H_e], E[H_m]); ergodic-region
 
 
@@ -168,11 +178,13 @@ def _resolve(config: dict) -> Experiment:
             raise ConfigError("point: a mapping with an 'op' key is required")
         out["point"] = point
     if "hz_star" in config:
-        out["hz_star"] = _value("hz_star", config)
-    elif "hz_quantile" in config or scenario == "ergodic-region":
-        out["hz_quantile"] = _value("hz_quantile", config)
-    region = RegionConfig(sp, dist.h_z, out.get("hz_quantile", 0.75), out.get("hz_star"))
-    return Experiment(out, sp, dist, search, region, axes)
+        out["hz_star"] = hz_star = _value("hz_star", config)
+    else:
+        q = _value("hz_quantile", config)
+        if "hz_quantile" in config or scenario == "ergodic-region":
+            out["hz_quantile"] = q
+        hz_star = float(dist.h_z.ppf(q))
+    return Experiment(out, sp, dist, search, hz_star, axes)
 
 
 def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str],
@@ -214,7 +226,7 @@ def run_delay_limited_sweep(exp: Experiment, out_dir: Path) -> int:
 
 def run_ergodic_region(exp: Experiment, out_dir: Path) -> int:
     t0 = time.monotonic()
-    region = dominance_region(*exp.axes, exp.region)
+    region = dominance_region(*exp.axes, RegionConfig(exp.sp, exp.dist.h_z, exp.hz_star))
 
     grid_rows = []
     for i, e_he in enumerate(region.he_means):
@@ -259,7 +271,7 @@ def run_point_eval(exp: Experiment, out_dir: Path) -> int:
     elif op in ("rate_nocsi", "rate_upper_bound", "rate_arq"):
         fn = {"rate_nocsi": rate_nocsi, "rate_upper_bound": rate_upper_bound,
               "rate_arq": rate_arq}[op]
-        value, err = fn(ErgodicConfig(exp.sp, exp.dist, exp.region.resolve_hz_star()))
+        value, err = fn(ErgodicConfig(exp.sp, exp.dist, exp.hz_star))
         print(f"{op} = {value!r} +- {err!r}")
     elif op == "c_min_closed_form":
         reg = _value("regime", args, "point.args.regime")
@@ -344,7 +356,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         exp = _resolve(_load_config(args))
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. the path names an existing file
+            raise ConfigError(f"--out-dir: {exc}") from exc
         runner = {
             "delay-limited-sweep": run_delay_limited_sweep,
             "ergodic-region": run_ergodic_region,

@@ -26,6 +26,7 @@ from .phy_rates import (SystemParams, rate_eve, rate_main_clear, rate_main_jamme
 from .policies import RatePolicy, cell_index
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_R_CAP = 64.0  # the largest secrecy rate searched, in bits
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ class FeasibilityReport:
 
     c_min: float
     std_err: float
-    feasible: bool | None
-    regime: CsiRegime
+    feasible: bool | None  # c_min >= alpha for a solve; None from evaluate_constraint
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,9 @@ class SearchConfig:
     mc_n: int = 1_000_000
     seed: int = 20240
     n_knots: int = 256
-    r_cap: float = 64.0
 
     def __post_init__(self):
         require(0 < self.rate_tol < np.inf, "rate_tol", "finite and > 0")
-        require(0 < self.r_cap < np.inf, "r_cap", "finite and > 0")
         for arg, least in (("mc_n", 1), ("seed", 0), ("n_knots", 1)):
             value = getattr(self, arg)
             require(isinstance(value, numbers.Integral) and value >= least, arg,
@@ -77,7 +75,6 @@ def evaluate_constraint(
     dist: ChannelTriple,
     rule: JammingRule,
     method: MonteCarlo | None = None,
-    alpha: float | None = None,
 ) -> FeasibilityReport:
     """Estimate the success-fraction constraint under a given jamming rule.
 
@@ -100,8 +97,7 @@ def evaluate_constraint(
         )
         c = float(np.mean(ok))
         se = float(np.sqrt(max(c * (1.0 - c), 0.0) / method.n))
-    feasible = None if alpha is None else c >= alpha
-    return FeasibilityReport(c_min=c, std_err=se, feasible=feasible, regime=regime)
+    return FeasibilityReport(c_min=c, std_err=se, feasible=None)
 
 
 def evaluate_constraint_full_duplex(
@@ -126,8 +122,7 @@ def evaluate_constraint_full_duplex(
     )
     c = float(np.mean(ok))
     se = float(np.sqrt(max(c * (1.0 - c), 0.0) / method.n))
-    return FeasibilityReport(c_min=c, std_err=se, feasible=None,
-                             regime=CsiRegime.PACKET_FEEDBACK)
+    return FeasibilityReport(c_min=c, std_err=se, feasible=None)
 
 
 def _check_secrecy_rate(r_s: float) -> None:
@@ -333,7 +328,7 @@ def _pilot_batch(sp: SystemParams, dist: ChannelTriple, seed: int, n: int, n_kno
     ``value(policy, r_s)``: the ``(c_min, std_err)`` of :func:`evaluate_constraint`
     under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots
     (constant if H_m is a point mass; a point-mass triple is one realization)."""
-    b = (SampleBatch(seed, 1, np.array([[d.param for d in dist.components()]]))
+    b = (SampleBatch(1, np.array([[d.param for d in dist.components()]]))
          if dist.is_degenerate else sample(dist, seed, n))
     he_grid, hz_grid = adv._pilot_grids(dist)
     knots_h, _ = _packet_knots(dist.h_m, n_knots)
@@ -355,7 +350,7 @@ def _pilot_batch(sp: SystemParams, dist: ChannelTriple, seed: int, n: int, n_kno
 
 
 def _best_constant_nocsi(
-    r_s: float, sp: SystemParams, dist: ChannelTriple, r_cap: float
+    r_s: float, sp: SystemParams, dist: ChannelTriple
 ) -> tuple[RatePolicy, float]:
     """Maximize the no-CSI closed form over the constant code rate."""
 
@@ -366,7 +361,7 @@ def _best_constant_nocsi(
 
     # shrink the search window to where a successful jammed block is possible
     hi = r_s + 1.0
-    while hi < r_s + r_cap and _cell_jam_mass(0.0, np.inf, hi, sp, dist) > 1e-9:
+    while hi < r_s + _R_CAP and _cell_jam_mass(0.0, np.inf, hi, sp, dist) > 1e-9:
         hi = r_s + 2.0 * (hi - r_s)
     r_star, c = _grid_then_golden(g, r_s, hi, n_grid=96)
     return RatePolicy.constant(r_star), float(c)
@@ -393,7 +388,7 @@ def solve(
 
     def cmin(r_s: float) -> tuple[float, float, RatePolicy]:
         if regime is CsiRegime.NO_CSI:
-            policy, c = _best_constant_nocsi(r_s, sp, dist, cfg.r_cap)
+            policy, c = _best_constant_nocsi(r_s, sp, dist)
             return c, 0.0, policy
         if regime is CsiRegime.PACKET_FEEDBACK:
             policy, c = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)
@@ -410,19 +405,19 @@ def solve(
 
     ok0, c0, se0, policy0 = feasible_at(0.0)
     if not ok0:
-        report = FeasibilityReport(c0, se0, False, regime)
+        report = FeasibilityReport(c0, se0, False)
         return SecrecySolution(0.0, policy0, report)
 
     lo, lo_state = 0.0, (c0, se0, policy0)
     hi = 1.0
-    while hi <= cfg.r_cap:
+    while hi <= _R_CAP:
         ok, c, se, policy = feasible_at(hi)
         if not ok:
             break
         lo, lo_state = hi, (c, se, policy)
         hi *= 2.0
     else:
-        hi = cfg.r_cap  # feasible everywhere we are willing to search
+        hi = _R_CAP  # feasible everywhere we are willing to search
 
     while hi - lo > cfg.rate_tol:
         mid = 0.5 * (lo + hi)
@@ -434,7 +429,7 @@ def solve(
 
     _assert_monotone(history)
     c, se, policy = lo_state
-    report = FeasibilityReport(c, se, True, regime)
+    report = FeasibilityReport(c, se, True)
     return SecrecySolution(lo, policy, report)
 
 

@@ -37,7 +37,6 @@ from .channels import (
     ChannelTriple,
     GainDistribution,
     MonteCarlo,
-    Quadrature,
     expect,
     sample,
 )
@@ -55,16 +54,6 @@ class ErgodicConfig:
 
     def __post_init__(self):
         require(0 <= self.hz_star < np.inf, "hz_star", "finite and >= 0")
-
-
-@dataclass(frozen=True)
-class ErgodicRates:
-    r_nocsi: float
-    r_upper: float
-    r_arq: float
-    err_nocsi: float
-    err_upper: float
-    err_arq: float
 
 
 def _diff(sp: SystemParams, h_m, h_e, h_z):
@@ -100,7 +89,7 @@ def _gap_moments(sp: SystemParams, m_kind: str, m, e_kind: str, e, z, mean_b):
     if exp_m and exp_e:
         pos = mean_a - _g(c_a + c_b) / _LN2
     elif exp_e:
-        cs = m / (jam * e)
+        cs = m / jam / e
         pos = mean_a - mean_b + np.exp(-cs) * _g(c_b + cs) / _LN2
     elif exp_m:
         cs = jam * e / m
@@ -125,8 +114,7 @@ def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale, meth
         s_b = sp.p * np.asarray(laws[3], dtype=float)
         with np.errstate(divide="ignore"):
             mean_b = _g(1.0 / s_b) / _LN2 if laws[2] == EXPONENTIAL else np.log2(1.0 + s_b)
-        (mean_a, pos), err = expect(h_z, lambda z: np.stack(_gap_moments(sp, *laws, z, mean_b)),
-                                    method or Quadrature())
+        (mean_a, pos), err = expect(h_z, lambda z: np.stack(_gap_moments(sp, *laws, z, mean_b)))
         moments, errs = (mean_a - mean_b, pos), (err, err)
     return np.maximum(moments[0], 0.0), moments[1] * scale, errs[0], errs[1] * scale
 
@@ -137,7 +125,7 @@ def _laws(dist: ChannelTriple) -> tuple:
 
 def rate_nocsi(
     cfg: ErgodicConfig,
-    method: MonteCarlo | Quadrature | None = None,
+    method: MonteCarlo | None = None,
 ) -> tuple[float, float]:
     """Rate of encoding across blocks with no CSI: max(E[A - B], 0), the
     positive part of the mean capacity advantage over the always-jamming /
@@ -152,7 +140,7 @@ def rate_nocsi(
 
 def rate_upper_bound(
     cfg: ErgodicConfig,
-    method: MonteCarlo | Quadrature | None = None,
+    method: MonteCarlo | None = None,
 ) -> tuple[float, float]:
     """Upper bound for any block-by-block scheme with threshold hz_star:
     E[(A - B)^+] P[H_z <= hz_star].
@@ -166,7 +154,7 @@ def rate_upper_bound(
 
 def rate_arq(
     cfg: ErgodicConfig,
-    method: MonteCarlo | Quadrature | None = None,
+    method: MonteCarlo | None = None,
 ) -> tuple[float, float]:
     """Rate of the plain ARQ block-by-block scheme: the jamming gain in
     the expectation is pinned at hz_star and the probability factor is
@@ -181,14 +169,6 @@ def rate_arq(
     return float(value), float(err)
 
 
-def rates(cfg: ErgodicConfig) -> ErgodicRates:
-    """All three rates by their default methods."""
-    rn, en = rate_nocsi(cfg)
-    ru, eu = rate_upper_bound(cfg)
-    ra, ea = rate_arq(cfg)
-    return ErgodicRates(rn, ru, ra, en, eu, ea)
-
-
 @dataclass(frozen=True)
 class BoundaryPoint:
     e_he: float
@@ -201,20 +181,10 @@ class BoundaryPoint:
 class RegionConfig:
     sp: SystemParams
     h_z: GainDistribution
-    hz_quantile: float | None = 0.75
-    hz_star: float | None = None
+    hz_star: float  # block-by-block encoding threshold on the jamming gain
 
     def __post_init__(self):
-        if self.hz_star is None:
-            require(self.hz_quantile is not None and 0 < self.hz_quantile < 1, "hz_quantile",
-                    "in (0, 1) when hz_star is None")
-        else:
-            require(0 <= self.hz_star < np.inf, "hz_star", "finite and >= 0")
-
-    def resolve_hz_star(self) -> float:
-        if self.hz_star is not None:
-            return float(self.hz_star)
-        return float(self.h_z.ppf(self.hz_quantile))
+        require(0 <= self.hz_star < np.inf, "hz_star", "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -243,7 +213,7 @@ def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
         require(axis.ndim == 1 and axis.size > 0 and np.all((axis > 0) & (axis < np.inf))
                 and np.all(np.diff(axis) > 0), arg, "a nonempty 1-D array, finite, positive "
                 "and strictly increasing")
-    scale = float(cfg.h_z.cdf(cfg.resolve_hz_star()))
+    scale = float(cfg.h_z.cdf(cfg.hz_star))
 
     def rates_at(e_hm, e_he):
         return _rate_pair(cfg.sp, (EXPONENTIAL, e_hm, EXPONENTIAL, e_he), cfg.h_z, scale)

@@ -29,15 +29,6 @@ class SystemParams:
         require(0 <= self.p_j < np.inf, "p_j", "finite and >= 0")
 
 
-@dataclass(frozen=True)
-class BlockRealization:
-    """Instantaneous power gains of the three links in one fading block."""
-
-    h_m: float
-    h_e: float
-    h_z: float
-
-
 def rate_main_jammed(sp: SystemParams, h_m, h_z):
     """Main-channel capacity while the adversary jams with power p_j."""
     return np.log2(1.0 + sp.p * np.asarray(h_m, float) / (1.0 + sp.p_j * np.asarray(h_z, float)))
@@ -82,8 +73,3 @@ def success_given_capacities(cap_jam, cap_eve, cap_clear, rate_r, r_s, jamming) 
         raise InvalidRates("secrecy rate exceeds code rate on an eavesdropped block")
     return np.where(jamming, cap_jam >= rate_r,
                     (cap_eve <= rate_r - r_s) & (cap_clear >= rate_r))
-
-
-def indicators(r: BlockRealization, sp: SystemParams, rate_r, r_s, jamming: bool) -> bool:
-    """Single-block convenience wrapper around :func:`success_indicator`."""
-    return bool(success_indicator(sp, r.h_m, r.h_e, r.h_z, rate_r, r_s, jamming))

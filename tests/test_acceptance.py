@@ -195,7 +195,7 @@ def test_criterion_6_arq_never_exceeds_upper_bound():
 
 def test_criterion_7_dominance_region_shape():
     t0 = time.monotonic()
-    cfg = RegionConfig(SP, GainDistribution.exponential(1.0), hz_quantile=0.75)
+    cfg = RegionConfig(SP, GainDistribution.exponential(1.0), GainDistribution.exponential(1.0).ppf(0.75))
     he = np.geomspace(0.1, 2.0, 20)
     hm = np.geomspace(0.5, 200.0, 20)
     res = dominance_region(he, hm, cfg)

@@ -102,7 +102,7 @@ class TestPilotBestResponse:
         sp, dist = paper_delay_setup
         r_s = 0.2
         policy, _ = optimize_policy_packet(r_s, sp, dist, n_knots=128)
-        rule = best_response_pilot(policy, r_s, sp, dist, grid_size=64)
+        rule = best_response_pilot(policy, r_s, sp, dist)
 
         # independent oracle: MC payoffs from a different generator family
         rng = np.random.default_rng(998877)

@@ -83,6 +83,13 @@ class TestConfigErrors:
         ({"seed": -1}, "seed"),
         *(({"point": {"op": "c_min_closed_form", "args": {"R": 1.0, "r_s": bad}}},
            "point.args.r_s") for bad in (math.nan, math.inf, -1.0)),
+        *(({"hz_quantile": bad}, "hz_quantile") for bad in (math.nan, 0.0, 1.0, None)),
+        # a count that is not a whole number used to be truncated silently
+        ({"seed": 1.9}, "seed"),
+        ({"samples": 2.5}, "samples"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": 1.0, "stop": 2.0, "num": 2.5},
+                   "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
         data = {"scenario": "point-eval", "channels": FAST_CHANNELS,
@@ -103,6 +110,15 @@ class TestConfigErrors:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    def test_out_dir_names_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        cfg = write_config(tmp_path / "c.yaml", {"scenario": "point-eval", "channels": FAST_CHANNELS,
+                                                 "point": {"op": "cdf", "args": {"x": 1.0}}})
+        assert main(["--config", str(cfg), "--out-dir", str(afile)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "Traceback" not in err
 
     def test_oversized_samples(self, tmp_path, capsys):
         # 10**15 draws exceed the address space, so the allocation fails at once
@@ -221,6 +237,18 @@ class TestErgodicRegion:
         grid = (out / "ergodic_grid.csv").read_text().splitlines()[1:]
         assert len(grid) == 4
         assert all(l.split(",")[-1] == "tie" for l in grid)
+
+    def test_integral_float_counts(self, tmp_path):
+        # whole numbers written as floats (PyYAML reads 1.0e6 as a string) are counts
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("scenario: ergodic-region\nseed: 7.0\nsamples: 1.0e6\ngrid:\n"
+                       "  he: {start: 0.5, stop: 2.0, num: 2.0}\n"
+                       "  hm: {start: 1.0, stop: 10.0, num: 2}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["config"]["seed"], manifest["config"]["samples"]) == (7, 10**6)
+        assert len((out / "ergodic_grid.csv").read_text().splitlines()) == 1 + 2 * 2
 
     def test_cli_flag_overrides(self, tmp_path):
         out = tmp_path / "out"

@@ -14,7 +14,6 @@ from secrates.ergodic import (
     rate_arq,
     rate_nocsi,
     rate_upper_bound,
-    rates,
 )
 
 from conftest import det_triple, exp_triple
@@ -51,10 +50,9 @@ class TestEdgeCases:
     def test_zero_transmit_power(self, paper_ergodic_setup):
         _, dist = paper_ergodic_setup
         cfg = ErgodicConfig(SystemParams(0.0, 1.0), dist, hz_star=1.0)
-        out = rates(cfg)
-        assert out.r_nocsi == 0.0
-        assert out.r_upper == 0.0
-        assert out.r_arq == 0.0
+        assert rate_nocsi(cfg)[0] == 0.0
+        assert rate_upper_bound(cfg)[0] == 0.0
+        assert rate_arq(cfg)[0] == 0.0
 
     def test_symmetric_links_unjammed(self):
         # identical main and eavesdropper laws with no jamming: the mean
@@ -95,23 +93,29 @@ class TestEdgeCases:
         np.testing.assert_allclose(got.r_nocsi, ref.r_nocsi, atol=2e-6)
         np.testing.assert_allclose(got.r_upper, ref.r_upper, atol=2e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_gains_no_overflow(self):
+        # the product jam * E[H_e] = 1e300 * 1e150 used to overflow
+        sp = SystemParams(1.0, 1e150)
+        dist = ChannelTriple(GainDistribution.deterministic(1.0), GainDistribution.exponential(1e150),
+                             GainDistribution.exponential(1.0))
+        val, err = rate_arq(ErgodicConfig(sp, dist, hz_star=1e150))
+        assert val == pytest.approx(0.0, abs=1e-9) and err == 0.0
+
     def test_negative_threshold_rejected(self, paper_ergodic_setup):
         sp, dist = paper_ergodic_setup
         with pytest.raises(ValueError):
             ErgodicConfig(sp, dist, hz_star=-1.0)
 
     def test_meaningless_threshold_rejected(self, paper_ergodic_setup):
-        # a nan threshold used to give r_upper = 0 everywhere, and hz_quantile
-        # 1.0 a clamped quantile of 36.7
+        # a nan threshold used to give r_upper = 0 everywhere; the CLI's
+        # hz_quantile cases are in test_cli.py::test_bad_value_names_key
         sp, dist = paper_ergodic_setup
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidInput, match="hz_star"):
                 ErgodicConfig(sp, dist, hz_star=bad)
             with pytest.raises(InvalidInput, match="hz_star"):
                 RegionConfig(sp, dist.h_z, hz_star=bad)
-        for bad in (math.nan, 0.0, 1.0, None):
-            with pytest.raises(InvalidInput, match="hz_quantile"):
-                RegionConfig(sp, dist.h_z, hz_quantile=bad)
         with pytest.raises(InvalidInput, match="quantile"):
             dist.h_z.ppf(math.nan)
 
@@ -191,14 +195,14 @@ class TestOrderings:
 
 def scalar_gap(cfg, e_hm, e_he):
     """rate_nocsi - rate_upper_bound at one grid point, from scalar configs."""
-    ecfg = ErgodicConfig(cfg.sp, exp_triple(e_hm, e_he, cfg.h_z.param), cfg.resolve_hz_star())
+    ecfg = ErgodicConfig(cfg.sp, exp_triple(e_hm, e_he, cfg.h_z.param), cfg.hz_star)
     return rate_nocsi(ecfg)[0] - rate_upper_bound(ecfg)[0]
 
 
 class TestDominanceRegion:
     # the 20x20 grid of acceptance criterion 7
     CFG = RegionConfig(SystemParams(1.0, 1.0), GainDistribution.exponential(1.0),
-                       hz_quantile=0.75)
+                       hz_star=GainDistribution.exponential(1.0).ppf(0.75))
     HE = np.geomspace(0.1, 2.0, 20)
     HM = np.geomspace(0.5, 200.0, 20)
 
@@ -216,7 +220,7 @@ class TestDominanceRegion:
     def test_grid_and_boundary(self):
         cfg = RegionConfig(
             SystemParams(1.0, 1.0), GainDistribution.exponential(1.0),
-            hz_quantile=0.75,
+            hz_star=GainDistribution.exponential(1.0).ppf(0.75),
         )
         he = np.array([0.5, 5.0])
         hm = np.array([0.2, 2.0, 20.0])
@@ -237,7 +241,7 @@ class TestDominanceRegion:
         for _ in range(2):
             cfg = RegionConfig(
                 SystemParams(1.0, 1.0), GainDistribution.exponential(1.0),
-                hz_quantile=0.75,
+                hz_star=GainDistribution.exponential(1.0).ppf(0.75),
             )
             outs.append(dominance_region(he, hm, cfg))
         assert np.array_equal(outs[0].r_nocsi, outs[1].r_nocsi)
@@ -245,7 +249,7 @@ class TestDominanceRegion:
         assert outs[0].boundary == outs[1].boundary
 
     def test_bad_axes_rejected(self):
-        cfg = RegionConfig(SystemParams(1.0, 1.0), GainDistribution.exponential(1.0))
+        cfg = RegionConfig(SystemParams(1.0, 1.0), GainDistribution.exponential(1.0), hz_star=1.0)
         with pytest.raises(ValueError):
             dominance_region([1.0, 0.5], [1.0, 2.0], cfg)
         with pytest.raises(ValueError):

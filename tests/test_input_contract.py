@@ -56,11 +56,10 @@ def test_constructors(x, k):
         (RatePolicy.tabulated, ([0.0, 1.0], [1.0, x])), (RatePolicy.tabulated, ([0.0, x], [1.0, 1.0])),
     ]:
         attempt(make, *args)
-    for field in ("rate_tol", "r_cap", "mc_n", "seed", "n_knots"):
+    for field in ("rate_tol", "mc_n", "seed", "n_knots"):
         attempt(SearchConfig, **{field: x})
         attempt(SearchConfig, **{field: k})
     h_z = GainDistribution.exponential(1.0)
-    attempt(RegionConfig, SystemParams(1.0, 1.0), h_z, hz_quantile=x)
     attempt(RegionConfig, SystemParams(1.0, 1.0), h_z, hz_star=x)
 
 
@@ -92,6 +91,7 @@ def test_ergodic(sp, dist, hz_star, hz_quantile, he, hm):
     if cfg is not None:
         for rate in (rate_nocsi, rate_upper_bound, rate_arq):
             attempt(rate, cfg)
-    region = attempt(RegionConfig, sp, dist.h_z, hz_quantile=hz_quantile)
+    region_hz_star = attempt(dist.h_z.ppf, hz_quantile)  # as the CLI derives it
+    region = None if region_hz_star is None else attempt(RegionConfig, sp, dist.h_z, region_hz_star)
     if region is not None:
         attempt(dominance_region, sorted(he), sorted(hm), region)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from secrates import BlockRealization, SystemParams
+from secrates import SystemParams
 from secrates.errors import InvalidRates
 from secrates.phy_rates import (
-    indicators,
     rate_eve,
     rate_main_clear,
     rate_main_jammed,
@@ -65,32 +64,26 @@ class TestIndicators:
     sp = SystemParams(1.0, 1.0)
 
     def test_jamming_success(self):
-        r = BlockRealization(h_m=3.0, h_e=0.0, h_z=1.0)
-        assert indicators(r, self.sp, rate_r=1.3, r_s=1.0, jamming=True)
+        assert success_indicator(self.sp, 3.0, 0.0, 1.0, rate_r=1.3, r_s=1.0, jamming=True)
 
     def test_zero_eve_gain_success(self):
-        r = BlockRealization(h_m=3.0, h_e=0.0, h_z=1.0)
-        assert indicators(r, self.sp, rate_r=1.5, r_s=1.0, jamming=False)
+        assert success_indicator(self.sp, 3.0, 0.0, 1.0, rate_r=1.5, r_s=1.0, jamming=False)
 
     def test_boundary_secrecy_failure(self):
         # rate_r == r_s leaves no margin; any positive h_e breaks secrecy
-        r = BlockRealization(h_m=100.0, h_e=0.5, h_z=0.0)
-        assert not indicators(r, self.sp, rate_r=1.0, r_s=1.0, jamming=False)
+        assert not success_indicator(self.sp, 100.0, 0.5, 0.0, rate_r=1.0, r_s=1.0, jamming=False)
 
     def test_invalid_rates(self):
-        r = BlockRealization(h_m=1.0, h_e=1.0, h_z=1.0)
         with pytest.raises(InvalidRates):
-            indicators(r, self.sp, rate_r=0.5, r_s=1.0, jamming=False)
+            success_indicator(self.sp, 1.0, 1.0, 1.0, rate_r=0.5, r_s=1.0, jamming=False)
 
     def test_jamming_branch_ignores_h_e(self):
         for h_e in (0.0, 1.0, 50.0):
-            r = BlockRealization(h_m=3.0, h_e=h_e, h_z=1.0)
-            assert indicators(r, self.sp, 1.3, 0.5, jamming=True)
+            assert success_indicator(self.sp, 3.0, h_e, 1.0, 1.3, 0.5, jamming=True)
 
     def test_eaves_branch_ignores_h_z(self):
         for h_z in (0.0, 1.0, 50.0):
-            r = BlockRealization(h_m=3.0, h_e=0.1, h_z=h_z)
-            assert indicators(r, self.sp, 1.0, 0.5, jamming=False)
+            assert success_indicator(self.sp, 3.0, 0.1, h_z, 1.0, 0.5, jamming=False)
 
     def test_vectorized_mixed_decisions(self):
         h_m = np.array([3.0, 3.0])
@@ -101,5 +94,4 @@ class TestIndicators:
         assert out.tolist() == [True, False]
 
     def test_tie_counts_as_success(self):
-        r = BlockRealization(h_m=3.0, h_e=0.0, h_z=1.0)
-        assert indicators(r, self.sp, rate_r=math.log2(2.5), r_s=0.0, jamming=True)
+        assert success_indicator(self.sp, 3.0, 0.0, 1.0, rate_r=math.log2(2.5), r_s=0.0, jamming=True)
