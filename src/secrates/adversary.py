@@ -65,10 +65,11 @@ def best_response_nocsi(
     """
     if not policy.is_constant:
         raise PolicyRegimeMismatch("no-CSI transmission uses a constant rate")
-    if r_s > policy.rate:
+    rate = float(policy.knots_r[0])
+    if r_s > rate:
         raise InvalidRates("secrecy rate exceeds the constant code rate")
     if sp.p > 0:
-        threshold = (2.0 ** (policy.rate - r_s) - 1.0) / sp.p
+        threshold = (2.0 ** (rate - r_s) - 1.0) / sp.p
     else:
         threshold = np.inf  # eavesdropper rate is identically zero
 
@@ -109,13 +110,13 @@ def _prob_interval_geq(dist_m: GainDistribution, lo, hi, thr) -> float | np.ndar
 
 def _jam_threshold(r, sp: SystemParams, h_z=0.0) -> np.ndarray:
     """Least h_m whose main capacity under jamming gain h_z (0: unjammed)
-    carries rate r; broadcasts over r and h_z."""
-    scale = 1.0 + sp.p_j * np.asarray(h_z, dtype=float)
+    carries rate r; broadcasts over r and h_z.  A zero rate needs no gain, at any scale."""
     with np.errstate(over="ignore"):  # past 1024 bits, or a huge scale: no finite h_m carries r
+        scale = 1.0 + sp.p_j * np.asarray(h_z, dtype=float)
         snr_thr = 2.0 ** np.asarray(r, dtype=float) - 1.0
         if sp.p == 0:  # zero power carries only the zero rate
-            return np.where(snr_thr > 0, np.inf, 0.0) * scale
-        return snr_thr * scale / sp.p
+            return np.where(snr_thr > 0, np.inf * scale, 0.0)
+        return snr_thr * np.where(snr_thr > 0, scale, 1.0) / sp.p  # no 0 * inf
 
 
 def pilot_payoffs(
@@ -154,12 +155,10 @@ def _pilot_grids(dist: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
-    i = np.clip(np.searchsorted(grid, x), 1, grid.size - 1) if grid.size > 1 else \
-        np.zeros(x.shape, dtype=int)
-    if grid.size > 1:
-        left_closer = (x - grid[i - 1]) <= (grid[i] - x)
-        i = np.where(left_closer, i - 1, i)
-    return i
+    if grid.size == 1:
+        return np.zeros(x.shape, dtype=int)
+    i = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
+    return np.where(x - grid[i - 1] <= grid[i] - x, i - 1, i)
 
 
 def best_response_pilot(

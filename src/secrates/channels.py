@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -58,15 +58,6 @@ class GainDistribution:
             out = np.where(x >= self.param, 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    def tail_geq(self, x):
-        """P[H >= x], tie inclusive (differs from 1-cdf only at atoms)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == EXPONENTIAL:
-            out = np.where(x <= 0, 1.0, np.exp(-np.maximum(x, 0.0) / self.param))
-        else:
-            out = np.where(x <= self.param, 1.0, 0.0)
-        return out if out.ndim else float(out)
-
     def ppf(self, q):
         """Quantile function (generalized inverse of the CDF)."""
         q = np.asarray(q, dtype=float)
@@ -76,12 +67,6 @@ class GainDistribution:
         else:
             out = np.full_like(q, self.param)
         return out if out.ndim else float(out)
-
-    def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF transform of uniforms in [0, 1)."""
-        if self.kind == EXPONENTIAL:
-            return -self.param * np.log1p(-u)
-        return np.full_like(u, self.param)
 
 
 @dataclass(frozen=True)
@@ -100,24 +85,12 @@ class ChannelTriple:
         return (self.h_m, self.h_e, self.h_z)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """A reproducible batch of i.i.d. gain triples, shape (n, 3)."""
+class SampleBatch(NamedTuple):
+    """A reproducible batch of n i.i.d. gain triples, one array of n per link."""
 
-    n: int
-    values: np.ndarray
-
-    @property
-    def h_m(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    @property
-    def h_e(self) -> np.ndarray:
-        return self.values[:, 1]
-
-    @property
-    def h_z(self) -> np.ndarray:
-        return self.values[:, 2]
+    h_m: np.ndarray
+    h_e: np.ndarray
+    h_z: np.ndarray
 
 
 def substream(seed: int, *key: int) -> int:
@@ -133,12 +106,14 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def sample(dist: ChannelTriple, seed: int, n: int) -> SampleBatch:
-    """Draw n i.i.d. gain triples; bit-identical for identical inputs."""
+    """Draw n i.i.d. gain triples ``(h_m, h_e, h_z)``, each link's ``ppf`` of its own
+    row of n Philox uniforms; bit-identical for identical inputs.  The uniforms are
+    below 1 in steps of 2**-53, so ``ppf``'s clamp at the largest double below 1
+    never acts."""
     require(isinstance(seed, numbers.Integral) and seed >= 0, "seed", "an integer >= 0")
     require(isinstance(n, numbers.Integral) and n >= 1, "n", "an integer >= 1")
     u = _generator(seed).random((3, n))
-    cols = [d.from_uniform(u[i]) for i, d in enumerate(dist.components())]
-    return SampleBatch(n=int(n), values=np.stack(cols, axis=1))
+    return SampleBatch(*(d.ppf(q) for d, q in zip(dist.components(), u)))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ EXIT_INFEASIBLE = 4
 
 def _integer(v) -> int:
     """``v`` as an int; a float or numeric string must be integral (1.0e6, not 1.9)."""
+    if isinstance(v, bool):  # YAML's true is an int, but not a count
+        raise ValueError(f"expected an integer, got {v!r}")
     if isinstance(v, numbers.Integral):
         return int(v)
     if not float(v).is_integer():
@@ -102,6 +104,8 @@ def _value(key: str, section: dict, where: str | None = None):
     where = where or key
     if key not in section and default is None:
         raise ConfigError(f"{where}: missing")
+    if isinstance(section.get(key), bool):  # YAML's true and false are not numbers
+        raise ConfigError(f"{where}: must be {rule}, not the boolean {section[key]!r}")
     value = _build(where, coerce, section.get(key, default))
     if not ok(value):
         raise ConfigError(f"{where}: must be {rule}, got {value!r}")

@@ -78,26 +78,13 @@ def evaluate_constraint(
 ) -> FeasibilityReport:
     """Estimate the success-fraction constraint under a given jamming rule.
 
-    Fully deterministic channel triples are evaluated exactly (a single
-    realization, no sampling); otherwise the estimate is a seeded Monte
-    Carlo average with a binomial standard error.
+    The estimate averages the success indicators over :func:`_draws`, with a
+    binomial standard error (zero for a point-mass triple's one realization).
     """
     _check_regime(regime, policy, rule)
-    if dist.is_degenerate:
-        h_m, h_e, h_z = (d.param for d in dist.components())
-        jam = rule.decide(h_m, h_e, h_z)
-        ok = success_indicator(sp, h_m, h_e, h_z, policy.rate_at(h_m), r_s, jam)
-        c, se = float(ok), 0.0
-    else:
-        method = method or MonteCarlo(seed=0)
-        batch = sample(dist, method.seed, method.n)
-        jam = rule.decide(batch.h_m, batch.h_e, batch.h_z)
-        ok = success_indicator(
-            sp, batch.h_m, batch.h_e, batch.h_z, policy.rate_at(batch.h_m), r_s, jam
-        )
-        c = float(np.mean(ok))
-        se = float(np.sqrt(max(c * (1.0 - c), 0.0) / method.n))
-    return FeasibilityReport(c_min=c, std_err=se, feasible=None)
+    b = _draws(dist, method)
+    ok = success_indicator(sp, *b, policy.rate_at(b.h_m), r_s, rule.decide(*b))
+    return FeasibilityReport(*_binomial(ok), feasible=None)
 
 
 def evaluate_constraint_full_duplex(
@@ -114,15 +101,25 @@ def evaluate_constraint_full_duplex(
     *and* the eavesdropper stays below the rate margin.  The result must
     coincide with the packet-feedback closed form.
     """
+    b = _draws(dist, method)
+    r = policy.rate_at(b.h_m)
+    ok = (rate_main_jammed(sp, b.h_m, b.h_z) >= r) & (np.log2(1.0 + sp.p * b.h_e) <= r - r_s)
+    return FeasibilityReport(*_binomial(ok), feasible=None)
+
+
+def _draws(dist: ChannelTriple, method: MonteCarlo | None) -> SampleBatch:
+    """The gains a Monte Carlo estimate averages over: a point-mass triple's
+    one exact realization, else ``method``'s batch (default seed 0)."""
+    if dist.is_degenerate:
+        return SampleBatch(*(np.array([d.param]) for d in dist.components()))
     method = method or MonteCarlo(seed=0)
-    batch = sample(dist, method.seed, method.n)
-    r = policy.rate_at(batch.h_m)
-    ok = (rate_main_jammed(sp, batch.h_m, batch.h_z) >= r) & (
-        np.log2(1.0 + sp.p * batch.h_e) <= r - r_s
-    )
+    return sample(dist, method.seed, method.n)
+
+
+def _binomial(ok: np.ndarray) -> tuple[float, float]:
+    """Mean of the success indicators ``ok`` and its binomial standard error."""
     c = float(np.mean(ok))
-    se = float(np.sqrt(max(c * (1.0 - c), 0.0) / method.n))
-    return FeasibilityReport(c_min=c, std_err=se, feasible=None)
+    return c, float(np.sqrt(max(c * (1.0 - c), 0.0) / ok.size))
 
 
 def _check_secrecy_rate(r_s: float) -> None:
@@ -159,7 +156,8 @@ def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple):
         return adv._prob_interval_geq(dist.h_m, lo, hi, 0.0) * dist.h_z.cdf(crossing(dist.h_m.param))
     z_lo, z_hi = crossing(lo), crossing(hi)
     mu_m, mu_z = dist.h_m.param, dist.h_z.param
-    S_m, F_z = dist.h_m.tail_geq, dist.h_z.cdf
+    S_m = lambda x: np.exp(-np.maximum(x, 0.0) / mu_m)  # P[H_m >= x]
+    F_z = dist.h_z.cdf
     k = 1.0 / mu_z + c * sp.p_j / mu_m
     mass = ((S_m(lo) - S_m(hi)) * F_z(z_lo)
             + np.exp(-c / mu_m) * (np.exp(-k * z_lo) - np.exp(-k * z_hi)) / (mu_z * k)
@@ -274,8 +272,7 @@ def optimize_policy_packet(
 
         rates = np.full(reps.shape, float(r_s))
         rates[live], _ = _grid_then_golden(g, r_s, cap[live])
-    policy = (RatePolicy.constant(rates[0]) if dist.h_m.is_degenerate
-              else RatePolicy.tabulated(knots_h, rates))
+    policy = RatePolicy.tabulated(knots_h, rates)
     return policy, c_min_closed_form(CsiRegime.PACKET_FEEDBACK, policy, r_s, sp, dist)
 
 
@@ -298,20 +295,14 @@ def optimize_policy_pilot(
     Each batch is drawn and indexed once (:func:`_pilot_batch`) and reused
     across candidates, bisection steps and alphas.
     """
-    base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)
-    knots_h, _ = _packet_knots(dist.h_m, cfg.n_knots)  # the knots of base and of the batches
-    knots_r = np.array([base.rate]) if base.is_constant else base.knots_r
-    clear_lo = np.maximum(np.log2(1.0 + sp.p * knots_h), r_s)
-    n = knots_r.size
+    base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)  # on the batches' knots
+    clear_lo = np.maximum(np.log2(1.0 + sp.p * base.knots_h), r_s)
 
     def candidate(frac: float) -> RatePolicy:
-        r = knots_r.copy()
-        k = int(round(frac * n))
-        if k:
-            r[:k] = clear_lo[:k]
-        if n == 1:
-            return RatePolicy.constant(float(r[0]))
-        return RatePolicy.tabulated(knots_h, r)
+        r = base.knots_r.copy()
+        k = int(round(frac * r.size))
+        r[:k] = clear_lo[:k]
+        return RatePolicy.tabulated(base.knots_h, r)
 
     draw = lambda key, size: _pilot_batch(sp, dist, substream(cfg.seed, key), size, cfg.n_knots)
     search = draw(1, max(cfg.mc_n // 5, 10_000))
@@ -326,25 +317,21 @@ def _pilot_batch(sp: SystemParams, dist: ChannelTriple, seed: int, n: int, n_kno
     """Draw one pilot batch and index it once (packet-knot cell of h_m, nearest
     payoff-grid points of h_e and h_z, the three capacities).  Returns
     ``value(policy, r_s)``: the ``(c_min, std_err)`` of :func:`evaluate_constraint`
-    under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots
-    (constant if H_m is a point mass; a point-mass triple is one realization)."""
-    b = (SampleBatch(1, np.array([[d.param for d in dist.components()]]))
-         if dist.is_degenerate else sample(dist, seed, n))
+    under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots."""
+    b = _draws(dist, MonteCarlo(seed, n))
     he_grid, hz_grid = adv._pilot_grids(dist)
     knots_h, _ = _packet_knots(dist.h_m, n_knots)
     compact = lambda i, grid: i.astype(np.min_scalar_type(grid.size - 1))
     cell = compact(cell_index(knots_h, b.h_m), knots_h)
     ie = compact(adv._nearest_index(he_grid, b.h_e), he_grid)
     iz = compact(adv._nearest_index(hz_grid, b.h_z), hz_grid)
+    # the closure keeps the indices and capacities, not the draws
     caps = rate_main_jammed(sp, b.h_m, b.h_z), rate_eve(sp, b.h_e), rate_main_clear(sp, b.h_m)
-    n = b.n  # the closure keeps the indices and capacities, not the draws
 
     def value(policy: RatePolicy, r_s: float) -> tuple[float, float]:
         jam_pay, eaves_pay = adv.pilot_payoffs(policy, r_s, sp, dist, he_grid, hz_grid)
-        rates = np.atleast_1d(policy.rate) if policy.is_constant else policy.knots_r
-        ok = success_given_capacities(*caps, rates[cell], r_s, jam_pay[iz] <= eaves_pay[ie])
-        c = float(np.mean(ok))
-        return c, float(np.sqrt(max(c * (1.0 - c), 0.0) / n))
+        jam = jam_pay[iz] <= eaves_pay[ie]
+        return _binomial(success_given_capacities(*caps, policy.knots_r[cell], r_s, jam))
 
     return value
 

@@ -107,7 +107,7 @@ def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale, meth
     """
     if isinstance(method, MonteCarlo):
         dist = ChannelTriple(GainDistribution(*laws[:2]), GainDistribution(*laws[2:]), h_z)
-        diff = _diff(sp, *sample(dist, method.seed, method.n).values.T)
+        diff = _diff(sp, *sample(dist, method.seed, method.n))
         vals = np.stack([diff, np.maximum(diff, 0.0)])
         moments, errs = vals.mean(axis=1), vals.std(ddof=1, axis=1) / np.sqrt(method.n)
     else:

@@ -31,7 +31,9 @@ class SystemParams:
 
 def rate_main_jammed(sp: SystemParams, h_m, h_z):
     """Main-channel capacity while the adversary jams with power p_j."""
-    return np.log2(1.0 + sp.p * np.asarray(h_m, float) / (1.0 + sp.p_j * np.asarray(h_z, float)))
+    with np.errstate(over="ignore"):  # a jamming product past 1.8e308 leaves no capacity
+        return np.log2(1.0 + sp.p * np.asarray(h_m, float)
+                       / (1.0 + sp.p_j * np.asarray(h_z, float)))
 
 
 def rate_main_clear(sp: SystemParams, h_m):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from secrates import ChannelTriple, GainDistribution, expect, sample
 from secrates.errors import NonConvergence
 
-from conftest import det_triple
+from conftest import det_triple, exp_triple
 
 
 def exp_integral_series(x: float, terms: int = 60) -> float:
@@ -28,7 +28,7 @@ def exp_integral_series(x: float, terms: int = 60) -> float:
 class TestSampling:
     def test_point_mass_triple(self):
         batch = sample(det_triple(1, 1, 1), seed=42, n=4)
-        assert np.array_equal(batch.values, np.ones((4, 3)))
+        assert np.array_equal(np.column_stack(batch), np.ones((4, 3)))
 
     def test_sample_mean_clt(self):
         dist = ChannelTriple(
@@ -49,9 +49,20 @@ class TestSampling:
         )
         a = sample(dist, seed=123, n=5000)
         b = sample(dist, seed=123, n=5000)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(np.column_stack(a), np.column_stack(b))
         c = sample(dist, seed=124, n=5000)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(np.column_stack(a), np.column_stack(c))
+
+    def test_frozen_draws(self):
+        # the stream itself, not just its reproducibility within one build
+        batch = sample(exp_triple(10.0, 1.0, 1.0), seed=20240, n=5)
+        assert list(zip(batch.h_m, batch.h_e, batch.h_z)) == [
+            (37.997622040395704, 0.028401584386076952, 0.6663323972240761),
+            (0.004169859874591064, 2.197464456281186, 1.551116426218004),
+            (1.188918917057376, 0.9824888195189712, 0.0029821418426554396),
+            (6.169044749001196, 0.035505685977158044, 0.3933452498542396),
+            (2.7582396632869655, 0.5352704518418137, 0.18364898610663005),
+        ]
 
     def test_components_independent(self):
         dist = ChannelTriple(
@@ -60,7 +71,7 @@ class TestSampling:
             GainDistribution.exponential(1.0),
         )
         batch = sample(dist, seed=3, n=200_000)
-        corr = np.corrcoef(batch.values.T)
+        corr = np.corrcoef(np.column_stack(batch).T)
         off_diag = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off_diag) < 0.01)
 

@@ -90,6 +90,16 @@ class TestConfigErrors:
         ({"scenario": "ergodic-region",
           "grid": {"he": {"start": 1.0, "stop": 2.0, "num": 2.5},
                    "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
+        # YAML's true is an int in Python, and used to run as 1
+        *(({key: True}, key) for key in ("seed", "samples", "rate_tol", "hz_star")),
+        ({"point": {"op": "cdf", "args": {"x": True}}}, "point.args.x"),
+        ({"point": {"op": "solve", "args": {"alpha": True}}}, "point.args.alpha"),
+        ({"point": {"op": "c_min_closed_form", "args": {"R": True, "r_s": 0.5}}},
+         "point.args.R"),
+        ({"scenario": "delay-limited-sweep", "alphas": [0.5, True]}, "alphas"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": 1.0, "stop": 2.0, "num": True},
+                   "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
         data = {"scenario": "point-eval", "channels": FAST_CHANNELS,

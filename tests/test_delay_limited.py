@@ -86,6 +86,17 @@ class TestClosedForm:
         assert c == pytest.approx(hand, abs=1e-15)
         assert c == pytest.approx(0.27766451019320415, abs=1e-12)
 
+    def test_one_knot_table_is_constant(self, paper_delay_setup):
+        # wherever its one knot sits; no-CSI used to reject such a table
+        sp, dist = paper_delay_setup
+        table, const = RatePolicy.tabulated([2.0], [1.0]), RatePolicy.constant(1.0)
+        h_m = np.array([0.0, 1.0, 2.0, 50.0])
+        assert table.is_constant and np.array_equal(table.rate_at(h_m), const.rate_at(h_m))
+        for r_s in (0.0, 0.5, 1.0):
+            c_table, c_const = (c_min_closed_form(CsiRegime.NO_CSI, policy, r_s, sp, dist)
+                                for policy in (table, const))
+            assert abs(c_table - c_const) <= 1e-15
+
     @pytest.mark.parametrize("regime", [CsiRegime.NO_CSI, CsiRegime.PACKET_FEEDBACK])
     def test_matches_monte_carlo(self, regime, paper_delay_setup):
         sp, dist = paper_delay_setup
@@ -210,13 +221,25 @@ class TestFullDuplexIdentity:
             closed = c_min_closed_form(CsiRegime.PACKET_FEEDBACK, policy, r_s, sp, dist)
             assert abs(rep.c_min - closed) < 3 * rep.std_err + 1e-9
 
+    @pytest.mark.parametrize("gains, expected", [
+        ((3.0, 0.0, 1.0), (1.0, 0.0)),
+        ((1.0, 1.0, 1.0), (0.0, 0.0)),
+    ])
+    def test_point_mass_triple_is_one_realization(self, monkeypatch, gains, expected):
+        draws = []
+        monkeypatch.setattr(delay_limited, "sample", lambda *args: draws.append(args))
+        policy = RatePolicy.tabulated([0.0, 2.0], [0.5, 1.0])
+        rep = evaluate_constraint_full_duplex(policy, 0.2, SystemParams(1.0, 1.0),
+                                              det_triple(*gains), MonteCarlo(0, 1000))
+        assert (rep.c_min, rep.std_err) == expected and draws == []
+
 
 class TestPacketPolicy:
     def test_degenerate_zero_main_gain(self, paper_delay_setup):
         sp, _ = paper_delay_setup
         dist = det_triple(0.0, 0.0, 1.0)
         policy, c = optimize_policy_packet(0.7, sp, dist)
-        assert policy.is_constant and policy.rate == 0.7
+        assert policy.is_constant and policy.knots_r.tolist() == [0.7]
         assert c == 0.0  # zero main gain cannot carry a positive rate
 
     def test_beats_best_constant(self, paper_delay_setup):
@@ -372,6 +395,22 @@ class TestSolve:
         sol = solve(CsiRegime.PILOT_FEEDBACK, sp, det_triple(1e150, 1.0, 1e150), 0.5,
                     SearchConfig(rate_tol=0.25, n_knots=8))
         assert sol.r_s_star == 0.0 and sol.report.feasible is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jamming_product_past_double_range(self):
+        # p_j h_z = 1e400 overflows to inf.  A zero rate still needs no main
+        # gain (its threshold was 0 * inf = nan), so 1e200 acts as 1e150 does
+        def outcome(huge):
+            sp, dist = SystemParams(1.0, huge), det_triple(1.0, 0.0, huge)
+            closed = [c_min_closed_form(regime, RatePolicy.constant(0.0), 0.0, sp, dist)
+                      for regime in (CsiRegime.NO_CSI, CsiRegime.PACKET_FEEDBACK)]
+            sols = [solve(regime, sp, dist, 0.5, SearchConfig(rate_tol=0.25, n_knots=8))
+                    for regime in CsiRegime]
+            return closed, [(s.r_s_star, s.report.c_min, s.report.std_err, s.report.feasible)
+                            for s in sols]
+
+        assert outcome(1e200) == outcome(1e150)
+        assert outcome(1e150)[0] == [1.0, 1.0]
 
     def test_deterministic_channels_exact_rate(self):
         # h_m=3, h_e=0, h_z=1: every block succeeds iff the rate fits the
