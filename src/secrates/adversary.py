@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelTriple, GainDistribution
+from .channels import ChannelTriple
 from .errors import InvalidRates, PolicyRegimeMismatch
-from .phy_rates import SystemParams, rate_main_clear
+from .phy_rates import SystemParams, cell_mass, rate_eve, rate_main_clear
 from .policies import RatePolicy
 
 
@@ -68,13 +68,9 @@ def best_response_nocsi(
     rate = float(policy.knots_r[0])
     if r_s > rate:
         raise InvalidRates("secrecy rate exceeds the constant code rate")
-    if sp.p > 0:
-        threshold = (2.0 ** (rate - r_s) - 1.0) / sp.p
-    else:
-        threshold = np.inf  # eavesdropper rate is identically zero
 
     def decide(h_m, h_e, h_z):
-        return h_e <= threshold
+        return rate_eve(sp, h_e) <= rate - r_s
 
     return JammingRule(CsiRegime.NO_CSI, decide)
 
@@ -86,37 +82,14 @@ def best_response_packet(
 
     Jam on the union of the blocks where eavesdropping cannot break
     secrecy (``log2(1+p*h_e) <= R(h_m) - r_s``) and the blocks already in
-    connection outage even without jamming (``log2(1+p*h_m) <= R(h_m)``).
+    connection outage even without jamming (``log2(1+p*h_m) < R(h_m)``).
     """
 
     def decide(h_m, h_e, h_z):
         r = policy.rate_at(h_m)
-        eve_rate = np.log2(1.0 + sp.p * h_e)
-        return (eve_rate <= r - r_s) | (rate_main_clear(sp, h_m) <= r)
+        return (rate_eve(sp, h_e) <= r - r_s) | (rate_main_clear(sp, h_m) < r)
 
     return JammingRule(CsiRegime.PACKET_FEEDBACK, decide)
-
-
-def _prob_interval_geq(dist_m: GainDistribution, lo, hi, thr) -> float | np.ndarray:
-    """P[H_m in [lo, hi) and H_m >= thr]; broadcasts over lo, hi and thr."""
-    lo, hi, thr = (np.asarray(x, dtype=float) for x in (lo, hi, thr))
-    if dist_m.is_degenerate:
-        v = dist_m.param
-        out = np.where((lo <= v) & (v < hi) & (v >= thr), 1.0, 0.0)
-    else:
-        out = np.maximum(dist_m.cdf(hi) - dist_m.cdf(np.maximum(lo, thr)), 0.0)
-    return out if out.ndim else float(out)
-
-
-def _jam_threshold(r, sp: SystemParams, h_z=0.0) -> np.ndarray:
-    """Least h_m whose main capacity under jamming gain h_z (0: unjammed)
-    carries rate r; broadcasts over r and h_z.  A zero rate needs no gain, at any scale."""
-    with np.errstate(over="ignore"):  # past 1024 bits, or a huge scale: no finite h_m carries r
-        scale = 1.0 + sp.p_j * np.asarray(h_z, dtype=float)
-        snr_thr = 2.0 ** np.asarray(r, dtype=float) - 1.0
-        if sp.p == 0:  # zero power carries only the zero rate
-            return np.where(snr_thr > 0, np.inf * scale, 0.0)
-        return snr_thr * np.where(snr_thr > 0, scale, 1.0) / sp.p  # no 0 * inf
 
 
 def pilot_payoffs(
@@ -139,11 +112,10 @@ def pilot_payoffs(
     h_e = np.atleast_1d(np.asarray(h_e, float))
     h_z = np.atleast_1d(np.asarray(h_z, float))
     lo, hi, r = (x[:, None] for x in policy.cells())
-    jam = _prob_interval_geq(dist.h_m, lo, hi, _jam_threshold(r, sp, h_z)).sum(axis=0)
-    # eavesdropping branch: the connection threshold does not involve h_z
-    mass_conn = _prob_interval_geq(dist.h_m, lo, hi, _jam_threshold(r, sp))
-    eve_ok = np.log2(1.0 + sp.p * h_e) <= r - r_s
-    eaves = np.where(eve_ok, mass_conn, 0.0).sum(axis=0)
+    jam = cell_mass(dist.h_m, lo, hi, r, sp, h_z).sum(axis=0)
+    # eavesdropping branch: the clear link, whatever h_z
+    eve_ok = rate_eve(sp, h_e) <= r - r_s
+    eaves = np.where(eve_ok, cell_mass(dist.h_m, lo, hi, r, sp), 0.0).sum(axis=0)
     return jam, eaves
 
 

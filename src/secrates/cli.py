@@ -37,15 +37,21 @@ EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
 
+def _number(v) -> float:
+    """``v`` as a float; YAML's true and false are ints in Python, but not numbers."""
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def _integer(v) -> int:
     """``v`` as an int; a float or numeric string must be integral (1.0e6, not 1.9)."""
-    if isinstance(v, bool):  # YAML's true is an int, but not a count
-        raise ValueError(f"expected an integer, got {v!r}")
-    if isinstance(v, numbers.Integral):
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return int(v)
-    if not float(v).is_integer():
+    x = _number(v)
+    if not x.is_integer():
         raise ValueError(f"expected an integer, got {v!r}")
-    return int(float(v))
+    return int(x)
 
 
 _FINITE_NONNEG = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
@@ -54,13 +60,13 @@ _FINITE_NONNEG = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 _KEYS = {
     "seed": (_integer, lambda v: v >= 0, ">= 0", 20240),
     "samples": (_integer, lambda v: v >= 1, ">= 1", 1_000_000),
-    "rate_tol": (float, lambda v: 0.0 < v < np.inf, "finite and > 0", 1e-4),
-    "hz_star": (float, *_FINITE_NONNEG, None),
-    "hz_quantile": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)", 0.75),
-    "alpha": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]", None),
-    "R": (float, *_FINITE_NONNEG, None),
-    "r_s": (float, *_FINITE_NONNEG, None),
-    "x": (float, lambda v: not np.isnan(v), "a number", None),
+    "rate_tol": (_number, lambda v: 0.0 < v < np.inf, "finite and > 0", 1e-4),
+    "hz_star": (_number, *_FINITE_NONNEG, None),
+    "hz_quantile": (_number, lambda v: 0.0 < v < 1.0, "in (0, 1)", 0.75),
+    "alpha": (_number, lambda v: 0.0 < v <= 1.0, "in (0, 1]", None),
+    "R": (_number, *_FINITE_NONNEG, None),
+    "r_s": (_number, *_FINITE_NONNEG, None),
+    "x": (_number, lambda v: not np.isnan(v), "a number", None),
     "channel": (str, lambda v: v in ("h_m", "h_e", "h_z"), "h_m, h_e or h_z", "h_e"),
     "regime": (CsiRegime, lambda v: True, "no_csi, packet_feedback or pilot_feedback", "no_csi"),
 }
@@ -104,8 +110,6 @@ def _value(key: str, section: dict, where: str | None = None):
     where = where or key
     if key not in section and default is None:
         raise ConfigError(f"{where}: missing")
-    if isinstance(section.get(key), bool):  # YAML's true and false are not numbers
-        raise ConfigError(f"{where}: must be {rule}, not the boolean {section[key]!r}")
     value = _build(where, coerce, section.get(key, default))
     if not ok(value):
         raise ConfigError(f"{where}: must be {rule}, got {value!r}")
@@ -119,13 +123,13 @@ def _parse_gain(channels, name: str) -> GainDistribution:
     if kind not in ("exponential", "deterministic"):
         raise ConfigError(f"{where}: expected a mapping whose kind is exponential or deterministic")
     param = "mean" if kind == "exponential" else "value"
-    return _build(where, lambda: GainDistribution(kind, float(section[param])))
+    return _build(where, lambda: GainDistribution(kind, _number(section[param])))
 
 
 def _parse_axis(section, where: str) -> tuple[float, float, int]:
     """(start, stop, num) of a finite, positive, increasing axis."""
     start, stop, num = _build(f"{where} (start/stop/num)", lambda: (
-        float(section["start"]), float(section["stop"]), _integer(section["num"])))
+        _number(section["start"]), _number(section["stop"]), _integer(section["num"])))
     if not (num >= 1 and 0 < start <= stop < np.inf and (num == 1 or stop > start)):
         raise ConfigError(f"{where}: axis must be finite, positive and increasing")
     return start, stop, num
@@ -160,7 +164,7 @@ def _resolve(config: dict) -> Experiment:
         **{key: _value(key, config) for key in ("seed", "samples", "rate_tol")},
     }
     dist = ChannelTriple(*(_parse_gain(out["channels"], name) for name in ("h_m", "h_e", "h_z")))
-    sp = _build("power", lambda: SystemParams(float(out["power"]["p"]), float(out["power"]["p_j"])))
+    sp = _build("power", lambda: SystemParams(_number(out["power"]["p"]), _number(out["power"]["p_j"])))
     search = SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
 
     if scenario == "delay-limited-sweep":
@@ -188,6 +192,8 @@ def _resolve(config: dict) -> Experiment:
         if "hz_quantile" in config or scenario == "ergodic-region":
             out["hz_quantile"] = q
         hz_star = float(dist.h_z.ppf(q))
+    if scenario == "ergodic-region" and (dist.h_m.is_degenerate or dist.h_e.is_degenerate):
+        raise ConfigError("channels.h_m, channels.h_e: ergodic-region needs both exponential")
     return Experiment(out, sp, dist, search, hz_star, axes)
 
 

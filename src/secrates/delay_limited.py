@@ -21,8 +21,9 @@ from .adversary import CsiRegime, JammingRule
 from .channels import ChannelTriple, GainDistribution, MonteCarlo, SampleBatch, sample, substream
 from .errors import (AlphaOutOfRange, InvalidRates, NonMonotone, PolicyRegimeMismatch,
                      UnsupportedRegime, require)
-from .phy_rates import (SystemParams, rate_eve, rate_main_clear, rate_main_jammed,
-                        success_given_capacities, success_indicator)
+from .phy_rates import (SystemParams, cell_mass, jam_threshold, rate_eve, rate_main_clear,
+                        rate_main_jammed, secrecy_factor, success_given_capacities,
+                        success_indicator)
 from .policies import RatePolicy, cell_index
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -103,7 +104,7 @@ def evaluate_constraint_full_duplex(
     """
     b = _draws(dist, method)
     r = policy.rate_at(b.h_m)
-    ok = (rate_main_jammed(sp, b.h_m, b.h_z) >= r) & (np.log2(1.0 + sp.p * b.h_e) <= r - r_s)
+    ok = (rate_main_jammed(sp, b.h_m, b.h_z) >= r) & (rate_eve(sp, b.h_e) <= r - r_s)
     return FeasibilityReport(*_binomial(ok), feasible=None)
 
 
@@ -127,14 +128,6 @@ def _check_secrecy_rate(r_s: float) -> None:
         raise InvalidRates(f"secrecy rate must be finite and nonnegative, got {r_s!r}")
 
 
-def _secrecy_factor(r, r_s: float, sp: SystemParams, dist_e: GainDistribution):
-    """P[log2(1 + p*H_e) <= r - r_s]; vectorized over r."""
-    if sp.p == 0:
-        return np.where(r >= r_s, 1.0, 0.0)
-    with np.errstate(over="ignore"):  # a margin past 1024 bits admits every h_e
-        return dist_e.cdf((2.0 ** (r - r_s) - 1.0) / sp.p)
-
-
 def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple):
     """P[H_m in [lo, hi) and jammed main capacity >= r], joint over H_z.
 
@@ -145,15 +138,15 @@ def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple):
     them an exponential H_m tail integrates against the H_z density.
     """
     if dist.h_z.is_degenerate or sp.p_j == 0 or sp.p == 0:
-        return adv._prob_interval_geq(dist.h_m, lo, hi, adv._jam_threshold(r, sp, dist.h_z.param))
-    lo, hi, c = np.broadcast_arrays(lo, hi, adv._jam_threshold(r, sp))
+        return cell_mass(dist.h_m, lo, hi, r, sp, dist.h_z.param)
+    lo, hi, c = np.broadcast_arrays(lo, hi, jam_threshold(r, sp))
     if not (c < np.inf).all():  # no finite h_m carries these rates: no mass
         dead = c == np.inf
         return np.where(dead, 0.0, _cell_jam_mass(lo, hi, np.where(dead, 0.0, r), sp, dist))
     crossing = lambda x: np.maximum(  # a zero threshold never crosses
         (np.divide(x, c, out=np.full(c.shape, np.inf), where=c > 0) - 1.0) / sp.p_j, 0.0)
     if dist.h_m.is_degenerate:
-        return adv._prob_interval_geq(dist.h_m, lo, hi, 0.0) * dist.h_z.cdf(crossing(dist.h_m.param))
+        return cell_mass(dist.h_m, lo, hi, 0.0, sp) * dist.h_z.cdf(crossing(dist.h_m.param))
     z_lo, z_hi = crossing(lo), crossing(hi)
     mu_m, mu_z = dist.h_m.param, dist.h_z.param
     S_m = lambda x: np.exp(-np.maximum(x, 0.0) / mu_m)  # P[H_m >= x]
@@ -186,7 +179,7 @@ def c_min_closed_form(
     _check_regime(regime, policy)
     _check_secrecy_rate(r_s)
     lo, hi, r = policy.cells()
-    cells = _secrecy_factor(r, r_s, sp, dist.h_e) * _cell_jam_mass(lo, hi, r, sp, dist)
+    cells = secrecy_factor(r, r_s, sp, dist.h_e) * _cell_jam_mass(lo, hi, r, sp, dist)
     return float(np.clip(np.sum(cells), 0.0, 1.0))
 
 
@@ -255,6 +248,8 @@ def optimize_policy_packet(
     _check_secrecy_rate(r_s)
     require(isinstance(n_knots, numbers.Integral) and n_knots >= 1, "n_knots", "an integer >= 1")
     knots_h, reps = _packet_knots(dist.h_m, n_knots)
+    cap = rate_main_clear(sp, reps)
+    require(cap[-1] < np.inf, "p and H_m", "small enough that log2(1 + p*h_m) is finite")
     if dist.h_z.is_degenerate or sp.p_j == 0:
         # The jamming factor is a step in r.  Pin the rate to the jammed
         # capacity at the cell's LEFT edge: a higher rate (e.g. at the
@@ -262,13 +257,12 @@ def optimize_policy_packet(
         # forfeit that mass for a vanishing rate gain.
         rates = np.maximum(r_s, rate_main_jammed(sp, knots_h, dist.h_z.param))
     else:
-        cap = rate_main_clear(sp, reps)
         live = (reps > 0) & (cap > r_s)
 
         def g(r):
             with np.errstate(divide="ignore"):  # r = 0 survives any jamming gain
                 conn = dist.h_z.cdf((sp.p * reps[live] / (2.0 ** r - 1.0) - 1.0) / sp.p_j)
-            return _secrecy_factor(r, r_s, sp, dist.h_e) * conn
+            return secrecy_factor(r, r_s, sp, dist.h_e) * conn
 
         rates = np.full(reps.shape, float(r_s))
         rates[live], _ = _grid_then_golden(g, r_s, cap[live])
@@ -296,7 +290,7 @@ def optimize_policy_pilot(
     across candidates, bisection steps and alphas.
     """
     base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)  # on the batches' knots
-    clear_lo = np.maximum(np.log2(1.0 + sp.p * base.knots_h), r_s)
+    clear_lo = np.maximum(rate_main_clear(sp, base.knots_h), r_s)
 
     def candidate(frac: float) -> RatePolicy:
         r = base.knots_r.copy()
@@ -344,7 +338,7 @@ def _best_constant_nocsi(
     def g(r):
         # c_min_closed_form of RatePolicy.constant(r), for an array of r
         mass = _cell_jam_mass(0.0, np.inf, r, sp, dist)
-        return np.clip(_secrecy_factor(r, r_s, sp, dist.h_e) * mass, 0.0, 1.0)
+        return np.clip(secrecy_factor(r, r_s, sp, dist.h_e) * mass, 0.0, 1.0)
 
     # shrink the search window to where a successful jammed block is possible
     hi = r_s + 1.0

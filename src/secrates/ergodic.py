@@ -41,7 +41,7 @@ from .channels import (
     sample,
 )
 from .errors import require
-from .phy_rates import SystemParams
+from .phy_rates import SystemParams, rate_eve, rate_main_jammed
 
 _LN2 = math.log(2.0)
 
@@ -54,10 +54,6 @@ class ErgodicConfig:
 
     def __post_init__(self):
         require(0 <= self.hz_star < np.inf, "hz_star", "finite and >= 0")
-
-
-def _diff(sp: SystemParams, h_m, h_e, h_z):
-    return np.log2(1.0 + sp.p * h_m / (1.0 + sp.p_j * h_z)) - np.log2(1.0 + sp.p * h_e)
 
 
 def _g(x):
@@ -107,7 +103,8 @@ def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale, meth
     """
     if isinstance(method, MonteCarlo):
         dist = ChannelTriple(GainDistribution(*laws[:2]), GainDistribution(*laws[2:]), h_z)
-        diff = _diff(sp, *sample(dist, method.seed, method.n))
+        b = sample(dist, method.seed, method.n)
+        diff = rate_main_jammed(sp, b.h_m, b.h_z) - rate_eve(sp, b.h_e)
         vals = np.stack([diff, np.maximum(diff, 0.0)])
         moments, errs = vals.mean(axis=1), vals.std(ddof=1, axis=1) / np.sqrt(method.n)
     else:

@@ -69,6 +69,17 @@ class TestPacketBestResponse:
         rule = best_response_packet(RatePolicy.constant(1.5), 0.5, sp, dist)
         assert not rule.decide(50.0, 10.0, 0.0)
 
+    def test_clear_capacity_tie_is_no_outage(self):
+        # log2(1 + 3) = 2 carries R = 2, so eavesdropping (which breaks
+        # secrecy) beats jamming, which the unjammed link h_z = 0 survives
+        sp, dist = SystemParams(1.0, 1.0), det_triple(3.0, 5.0, 0.0)
+        policy = RatePolicy.constant(2.0)
+        rule = best_response_packet(policy, 0.1, sp, dist)
+        assert not rule.decide(3.0, 5.0, 0.0)
+        rep = evaluate_constraint(CsiRegime.PACKET_FEEDBACK, policy, 0.1, sp, dist, rule)
+        closed = c_min_closed_form(CsiRegime.PACKET_FEEDBACK, policy, 0.1, sp, dist)
+        assert rep.c_min == closed == 0.0
+
 
 class TestPilotBestResponse:
     def test_point_mass_main_gain_reduction(self):

@@ -100,6 +100,19 @@ class TestConfigErrors:
         ({"scenario": "ergodic-region",
           "grid": {"he": {"start": 1.0, "stop": 2.0, "num": True},
                    "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
+        # and so did a boolean channel parameter, power or axis end
+        ({"channels": {**FAST_CHANNELS, "h_m": {"kind": "exponential", "mean": True}}},
+         "channels.h_m"),
+        ({"channels": {**FAST_CHANNELS, "h_e": {"kind": "deterministic", "value": True}}},
+         "channels.h_e"),
+        ({"power": {"p": True, "p_j": 1.0}}, "power"),
+        ({"power": {"p": 1.0, "p_j": True}}, "power"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": True, "stop": 2.0, "num": 2},
+                   "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 2},
+                   "hm": {"start": 0.5, "stop": True, "num": 2}}}, "grid.hm"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
         data = {"scenario": "point-eval", "channels": FAST_CHANNELS,
@@ -259,6 +272,23 @@ class TestErgodicRegion:
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["config"]["seed"], manifest["config"]["samples"]) == (7, 10**6)
         assert len((out / "ergodic_grid.csv").read_text().splitlines()) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("name", ["h_m", "h_e"])
+    def test_point_mass_law_rejected(self, tmp_path, capsys, name):
+        # the region is a grid of exponential means; a point mass used to be
+        # read as an exponential mean
+        channels = {"h_m": {"kind": "exponential", "mean": 10.0},
+                    "h_e": {"kind": "exponential", "mean": 1.0}, "h_z": FAST_CHANNELS["h_z"]}
+        channels[name] = {"kind": "deterministic", "value": 3.0}
+        cfg = write_config(tmp_path / "c.yaml", {
+            "scenario": "ergodic-region", "channels": channels,
+            "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 2},
+                     "hm": {"start": 1.0, "stop": 10.0, "num": 2}}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"channels.{name}" in err and "Traceback" not in err
+        assert not (out / "ergodic_grid.csv").exists()
 
     def test_cli_flag_overrides(self, tmp_path):
         out = tmp_path / "out"

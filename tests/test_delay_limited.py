@@ -234,6 +234,53 @@ class TestFullDuplexIdentity:
         assert (rep.c_min, rep.std_err) == expected and draws == []
 
 
+class TestPointMassTies:
+    """A point mass is decided by the capacity comparison a draw is, so on
+    all-point-mass triples each closed form equals the one-draw oracle exactly."""
+
+    SP = SystemParams(1.0, 1.0)
+
+    def test_packet_matches_full_duplex(self):
+        # the rate rides the jammed capacity at h_m, a tie by construction
+        def mismatch(h_m):
+            dist = det_triple(h_m, 0.5, 1.0)
+            policy, c = optimize_policy_packet(0.1, self.SP, dist, n_knots=8)
+            return c != evaluate_constraint_full_duplex(policy, 0.1, self.SP, dist).c_min
+
+        assert [h for h in np.linspace(0.05, 20.0, 400) if mismatch(h)] == []
+
+    def test_nocsi_eavesdropper_tie_matches_oracle(self):
+        def mismatch(h_e):
+            dist, policy = det_triple(20.0, h_e, 1.0), RatePolicy.constant(3.0)
+            r_s = 3.0 - math.log2(1.0 + h_e)  # R - r_s is the eavesdropper's capacity
+            rule = best_response(CsiRegime.NO_CSI, policy, r_s, self.SP, dist)
+            oracle = evaluate_constraint(CsiRegime.NO_CSI, policy, r_s, self.SP, dist, rule)
+            return c_min_closed_form(CsiRegime.NO_CSI, policy, r_s, self.SP, dist) != oracle.c_min
+
+        assert [h for h in np.linspace(0.05, 6.9, 400) if mismatch(h)] == []
+
+    def test_point_mass_main_gain_keeps_regime_ordering(self):
+        # the jammed capacity at 1.7, inverted to a gain, overshoots 1.7 by
+        # one ulp; the packet cell used to lose its whole mass
+        dist = ChannelTriple(D(1.7), E(1.0), D(1.0))
+        cfg = SearchConfig(rate_tol=1e-4)
+        packet = solve(CsiRegime.PACKET_FEEDBACK, self.SP, dist, 0.3, cfg)
+        nocsi = solve(CsiRegime.NO_CSI, self.SP, dist, 0.3, cfg)
+        assert packet.report.feasible and packet.r_s_star >= nocsi.r_s_star > 0.4
+
+    def test_eavesdropper_point_mass_tie_is_jammed(self):
+        # at the tie eavesdropping would succeed, so the adversary jams:
+        # C = P[log2(1 + H_m/2) >= 3] = P[H_m >= 14] = e^-1.4
+        dist, policy = ChannelTriple(E(10.0), D(2.9), D(1.0)), RatePolicy.constant(3.0)
+        r_s = 3.0 - math.log2(3.9)
+        closed = c_min_closed_form(CsiRegime.NO_CSI, policy, r_s, self.SP, dist)
+        assert closed == pytest.approx(math.exp(-1.4), abs=1e-12)
+        rule = best_response(CsiRegime.NO_CSI, policy, r_s, self.SP, dist)
+        rep = evaluate_constraint(CsiRegime.NO_CSI, policy, r_s, self.SP, dist, rule,
+                                  MonteCarlo(3, 400_000))
+        assert abs(rep.c_min - closed) <= 3 * rep.std_err
+
+
 class TestPacketPolicy:
     def test_degenerate_zero_main_gain(self, paper_delay_setup):
         sp, _ = paper_delay_setup
@@ -411,6 +458,15 @@ class TestSolve:
 
         assert outcome(1e200) == outcome(1e150)
         assert outcome(1e150)[0] == [1.0, 1.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h_m", [E(1e200), D(1e200)])
+    @pytest.mark.parametrize("h_z", [D(1.0), E(1.0)])
+    def test_capacity_overflow_names_its_inputs(self, h_m, h_z):
+        # p * h_m = 1e400 has no finite capacity; it used to fail on knots_r
+        with pytest.raises(InvalidInput, match="p and H_m"):
+            solve(CsiRegime.PACKET_FEEDBACK, SystemParams(1e200, 1.0),
+                  ChannelTriple(h_m, E(1.0), h_z), 0.5, SearchConfig(n_knots=8))
 
     def test_deterministic_channels_exact_rate(self):
         # h_m=3, h_e=0, h_z=1: every block succeeds iff the rate fits the

@@ -1,15 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from secrates import SystemParams
+from secrates import GainDistribution, SystemParams
 from secrates.errors import InvalidRates
 from secrates.phy_rates import (
+    cell_mass,
+    jam_threshold,
     rate_eve,
     rate_main_clear,
     rate_main_jammed,
+    secrecy_factor,
     success_indicator,
 )
 
@@ -95,3 +99,39 @@ class TestIndicators:
 
     def test_tie_counts_as_success(self):
         assert success_indicator(self.sp, 3.0, 0.0, 1.0, rate_r=math.log2(2.5), r_s=0.0, jamming=True)
+
+
+class TestOneSurvivalRule:
+    sp = SystemParams(1.0, 1.0)
+
+    def test_point_mass_cell_decided_by_capacity(self):
+        # inverting the jammed capacity at 1.7 overshoots 1.7 by one ulp;
+        # the point mass carries the rate its own capacity defines
+        r = rate_main_jammed(self.sp, 1.7, 1.0)
+        assert jam_threshold(r, self.sp, 1.0) > 1.7
+        assert cell_mass(GainDistribution.deterministic(1.7), 0.0, np.inf, r, self.sp, 1.0) == 1.0
+
+    def test_clear_link_is_zero_jamming_gain(self):
+        h = np.array([0.0, 0.3, 1.7, 41.0])
+        assert np.array_equal(rate_main_jammed(self.sp, h, 0.0), rate_main_clear(self.sp, h))
+
+    def test_point_mass_secrecy_factor_at_tie(self):
+        # the margin 3 - r_s is the eavesdropper's capacity log2(3.9); the
+        # inverted threshold 2^(3 - r_s) - 1 fell below 2.9 and lost the tie
+        r_s = 3.0 - math.log2(3.9)
+        assert secrecy_factor(3.0, r_s, self.sp, GainDistribution.deterministic(2.9)) == 1.0
+
+    def test_zero_power_secrecy_factor(self):
+        sp = SystemParams(0.0, 1.0)
+        out = secrecy_factor(np.array([0.4, 0.5, 0.6]), 0.5, sp, GainDistribution.exponential(1.0))
+        assert out.tolist() == [0.0, 1.0, 1.0]
+
+    def test_capacities_written_once(self):
+        # every survival test goes through this module's capacities
+        paths = sorted((Path(__file__).resolve().parents[1] / "src" / "secrates").glob("*.py"))
+        assert len(paths) > 1
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            if path.name != "phy_rates.py":
+                assert "log2(1.0 + sp.p" not in text, path.name
+            assert "_prob_interval_geq" not in text, path.name
