@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidInput, NonConvergence, require
 
@@ -139,6 +138,8 @@ def expect(
     if dist.is_degenerate:
         out = np.asarray(f(np.asarray(dist.param)), dtype=float)
         return (out if out.ndim else float(out)), 0.0
+
+    from scipy import integrate  # imported here: a run with no quadrature skips its cost
 
     # Integrate over u = x/mu against e^{-u}, so that the rule does not
     # depend on the scale of the mean.

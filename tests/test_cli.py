@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import secrates
 from secrates.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE, EXIT_OK, main
 
 FAST_CHANNELS = {
@@ -21,6 +25,16 @@ FAST_CHANNELS = {
 def write_config(path, data):
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return path
+
+
+def test_import_loads_no_quadrature():
+    # channels.expect imports scipy.integrate when it first runs, so a CLI
+    # run that needs no quadrature never pays for that import
+    env = dict(os.environ, PYTHONPATH=str(Path(secrates.__file__).parents[1]))
+    code = "import sys, secrates.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigErrors:

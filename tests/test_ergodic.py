@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize
@@ -271,23 +273,136 @@ class TestDominanceRegion:
             lo, hi = (scalar_gap(self.CFG, bp.e_hm + d, bp.e_he) for d in (-half, half))
             assert lo * hi <= 0, bp
 
-    def test_bisection_starts_from_the_grid_cell(self, monkeypatch):
-        # 1 grid quadrature + 4 bisection steps: each row bisects only its
-        # sign-change cell, and the widest such cell needs 4 halvings
+    def test_boundary_is_the_scalar_tie(self):
+        # relative stopping rule: each reported tie is within 1e-9 of the scalar root
+        res = dominance_region(self.HE, self.HM, self.CFG)
+        ok = [bp for bp in res.boundary if bp.status == "ok"]
+        assert ok
+        for bp in ok:
+            tie = optimize.brentq(lambda m: scalar_gap(self.CFG, m, bp.e_he), self.HM[0], self.HM[-1],
+                                  xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            assert abs(bp.e_hm - tie) <= 1e-9 * tie, (bp, tie)
+
+    def test_region_runs_no_quadrature(self, monkeypatch):
+        # exponential H_m and H_z: the grid and every bisection step are closed forms
         calls = self.count_expect(monkeypatch)
         dominance_region(self.HE, self.HM, self.CFG)
-        assert len(calls) == 5
+        assert calls == []
 
-    def test_narrow_grid_cell_takes_no_step(self, monkeypatch):
-        # a sign-change cell already narrower than the stopping width: the
-        # row reports the cell midpoint with the grid quadrature's error bar
+    def test_narrow_grid_cell_brackets_the_tie(self, monkeypatch):
+        # a sign-change cell 0.02 wide is bisected on to 1e-12 of the tie
         e_he = 1.0
-        tie = optimize.brentq(lambda m: scalar_gap(self.CFG, m, e_he), 0.5, 200.0, xtol=1e-9)
+        tie = optimize.brentq(lambda m: scalar_gap(self.CFG, m, e_he), 0.5, 200.0,
+                              xtol=1e-300, rtol=4 * np.finfo(float).eps)
         hm = np.array([0.5, tie - 0.01, tie + 0.01, 200.0])
         calls = self.count_expect(monkeypatch)
-        res = dominance_region([e_he], hm, self.CFG)
-        assert len(calls) == 1
-        (bp,) = res.boundary
+        (bp,) = dominance_region([e_he], hm, self.CFG).boundary
+        assert calls == []
         assert bp.status == "ok"
-        assert bp.e_hm == 0.5 * (hm[1] + hm[2])
-        assert bp.gap_err == math.hypot(res.err_nocsi[0, 0], res.err_upper[0, 0])
+        assert abs(bp.e_hm - tie) <= 1e-12 * tie
+
+
+@functools.lru_cache(maxsize=None)
+@mp.workdps(40)
+def mp_expect(p, p_j, m, z, e_law=None, e=None):
+    """E[A], or E[(A - B)^+] given the law of H_e, for H_m ~ Exp(m) and
+    H_z ~ Exp(z), at 40 digits.
+
+    Given H_z = z u, with c = (1 + p_j z u)/(p m), E[A] ln 2 is g(c) and
+    E[(A - B)^+] ln 2 is g(c) - g(c + 1/(p e)) or e^{-c p e} g(c (1 + p e)).
+    mpmath's quadrature integrates these over u ~ Exp(1), so neither the
+    partial fractions nor the series near p_j z = p m is used.
+    """
+    p, p_j, m, z = map(mp.mpf, (p, p_j, m, z))
+    if p == 0:
+        return mp.mpf(0)
+
+    def g(x):
+        return mp.exp(x) * mp.e1(x)
+
+    def c(u):
+        return (1 + p_j * z * u) / (p * m)
+
+    if e_law is None:
+        f = lambda u: g(c(u))
+    elif e_law == "exp":
+        f = lambda u: g(c(u)) - g(c(u) + 1 / (p * e))
+    else:
+        f = lambda u: mp.exp(-c(u) * p * e) * g(c(u) * (1 + p * e))
+    # the integrand varies on a log scale in u above p_j z u = 1: split there
+    b = p_j * z
+    pts = [mp.mpf(0), mp.mpf(1)]
+    if b > 0:
+        pts += [mp.mpf(10) ** k / b for k in range(0, int(mp.log10(100 * b)) + 1, 16)
+                if mp.mpf(10) ** k < 100 * b]
+    pts = sorted(set(pts)) + [mp.inf]
+    h = lambda u: mp.exp(-u) * f(u)
+    # quad stops at an absolute error of 10^-dps: scaling the integrand by a
+    # rough first estimate makes that error relative
+    with mp.workdps(15):
+        scale = abs(mp.quad(h, pts)) or 1
+    return scale * mp.quad(lambda u: h(u) / scale, pts) / mp.log(2)
+
+
+@mp.workdps(40)
+def mp_rates(sp, m, e_law, e, z, hz_star):
+    """(rate_nocsi, rate_upper_bound) at 40 digits, as ``mp_expect``."""
+    if sp.p == 0:
+        return mp.mpf(0), mp.mpf(0)
+    s_b = mp.mpf(sp.p) * mp.mpf(e)
+    mean_b = (mp.exp(1 / s_b) * mp.e1(1 / s_b) if e_law == "exp" else mp.log1p(s_b)) / mp.log(2)
+    nocsi = max(mp_expect(sp.p, sp.p_j, m, z) - mean_b, 0)
+    law = (e_law, e) if e else ()  # a point mass at 0 makes B = 0
+    return nocsi, mp_expect(sp.p, sp.p_j, m, z, *law) * -mp.expm1(-mp.mpf(hz_star) / z)
+
+
+# E[H_m] around E[H_z] = 1, so that kappa = p_j E[H_z]/(p E[H_m]) = 1/E[H_m] sweeps
+# |1 - kappa| over 1e-16 ... 1e-2 on both sides of 1, and 1 exactly
+KAPPA_MASSES = sorted({np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                       *(1.0 + s * d for d in (1e-12, 1e-8, 1e-5, 1e-4, 1e-3, 1e-2) for s in (1, -1))})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestClosedFormAccuracy:
+    """Closed-form rates against 40-digit references: the reported error bar
+    covers the measured error."""
+
+    HZ_STAR = 1.0
+
+    def check(self, sp, m, h_e, z, e_law):
+        dist = ChannelTriple(GainDistribution.exponential(m), h_e, GainDistribution.exponential(z))
+        cfg = ErgodicConfig(sp, dist, self.HZ_STAR)
+        refs = mp_rates(sp, m, e_law, h_e.param, z, self.HZ_STAR)
+        for (got, err), ref in zip((rate_nocsi(cfg), rate_upper_bound(cfg)), refs):
+            assert abs(got - ref) <= err <= 1.25e-9, (got, float(ref), err)
+
+    @pytest.mark.parametrize("m", KAPPA_MASSES)
+    def test_kappa_sweep(self, m):
+        sp = SystemParams(1.0, 1.0)
+        # a point mass at 0 makes B = 0, so rate_nocsi is E[A] itself
+        self.check(sp, m, GainDistribution.deterministic(0.0), 1.0, "det")
+        self.check(sp, m, GainDistribution.deterministic(2.0), 1.0, "det")
+        self.check(sp, m, GainDistribution.exponential(1.0), 1.0, "exp")
+
+    def test_region_rates(self):
+        # the region's grid takes the same closed forms, as arrays, across kappa = 1
+        res = dominance_region([1.0], KAPPA_MASSES, RegionConfig(
+            SystemParams(1.0, 1.0), GainDistribution.exponential(1.0), hz_star=self.HZ_STAR))
+        for k, m in enumerate(KAPPA_MASSES):
+            nocsi, upper = mp_rates(SystemParams(1.0, 1.0), m, "exp", 1.0, 1.0, self.HZ_STAR)
+            assert abs(res.r_nocsi[0, k] - nocsi) <= res.err_nocsi[0, k]
+            assert abs(res.r_upper[0, k] - upper) <= res.err_upper[0, k]
+
+    @pytest.mark.parametrize("p, p_j, m, e, z", [
+        (0.0, 1.0, 10.0, 1.0, 1.0),      # no signal: every rate is 0
+        (0.0, 0.0, 1.0, 1.0, 1.0),
+        (1.0, 0.0, 10.0, 1.0, 1.0),      # no jamming: kappa = 0
+        (1.0, 1.0, 1e150, 1e150, 1e150),  # kappa = 1 at huge gains
+        (1.0, 1e150, 1.0, 1.0, 1.0),     # kappa = 1e150
+        (1.0, 1.0, 1e150, 1.0, 1.0),     # kappa = 1e-150
+    ])
+    def test_edge_gains(self, p, p_j, m, e, z):
+        sp = SystemParams(p, p_j)
+        for h_e, law in ((GainDistribution.exponential(e), "exp"),
+                         (GainDistribution.deterministic(e), "det")):
+            self.check(sp, m, h_e, z, law)
