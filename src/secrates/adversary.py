@@ -92,14 +92,21 @@ def best_response_packet(
     return JammingRule(CsiRegime.PACKET_FEEDBACK, decide)
 
 
-def pilot_payoffs(
-    policy: RatePolicy,
-    r_s: float,
-    sp: SystemParams,
-    dist: ChannelTriple,
-    h_e: np.ndarray,
-    h_z: np.ndarray,
-):
+def pilot_payoff_tables(policy: RatePolicy, r_s: float, sp: SystemParams, dist: ChannelTriple,
+                        h_e: np.ndarray, h_z: np.ndarray):
+    """Per-cell terms of :func:`pilot_payoffs`: ``(jam, eaves)``, one
+    (cells x points) array per action, whose column sums are the payoffs."""
+    h_e = np.atleast_1d(np.asarray(h_e, float))
+    h_z = np.atleast_1d(np.asarray(h_z, float))
+    lo, hi, r = (x[:, None] for x in policy.cells())
+    jam = cell_mass(dist.h_m, lo, hi, r, sp, h_z)
+    # eavesdropping branch: the clear link, whatever h_z
+    eve_ok = rate_eve(sp, h_e) <= r - r_s
+    return jam, np.where(eve_ok, cell_mass(dist.h_m, lo, hi, r, sp), 0.0)
+
+
+def pilot_payoffs(policy: RatePolicy, r_s: float, sp: SystemParams, dist: ChannelTriple,
+                  h_e: np.ndarray, h_z: np.ndarray):
     """Conditional success probabilities over H_m for each adversary action.
 
     Returns ``(jam, eaves)`` where ``jam[i]`` is
@@ -107,16 +114,9 @@ def pilot_payoffs(
     ``P[rate_eve(h_e[j]) <= R(H_m) - r_s and rate_main_clear(H_m) >= R(H_m)]``.
     Exact via the marginal CDF of H_m (gains are independent, and the
     policy is piecewise-constant, so each cell contributes a closed-form
-    probability mass); evaluated as one (cells x points) array per action.
+    probability mass): the column sums of :func:`pilot_payoff_tables`.
     """
-    h_e = np.atleast_1d(np.asarray(h_e, float))
-    h_z = np.atleast_1d(np.asarray(h_z, float))
-    lo, hi, r = (x[:, None] for x in policy.cells())
-    jam = cell_mass(dist.h_m, lo, hi, r, sp, h_z).sum(axis=0)
-    # eavesdropping branch: the clear link, whatever h_z
-    eve_ok = rate_eve(sp, h_e) <= r - r_s
-    eaves = np.where(eve_ok, cell_mass(dist.h_m, lo, hi, r, sp), 0.0).sum(axis=0)
-    return jam, eaves
+    return tuple(t.sum(axis=0) for t in pilot_payoff_tables(policy, r_s, sp, dist, h_e, h_z))
 
 
 def _pilot_grids(dist: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,8 @@ from .channels import ChannelTriple, GainDistribution, MonteCarlo, SampleBatch, 
 from .errors import (AlphaOutOfRange, InvalidRates, NonMonotone, PolicyRegimeMismatch,
                      UnsupportedRegime, require)
 from .phy_rates import (SystemParams, cell_mass, jam_threshold, rate_eve, rate_main_clear,
-                        rate_main_jammed, secrecy_factor, success_given_capacities,
-                        success_indicator)
+                        rate_main_jammed, secrecy_factor, success_indicator,
+                        survival)
 from .policies import RatePolicy, cell_index
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -85,7 +85,7 @@ def evaluate_constraint(
     _check_regime(regime, policy, rule)
     b = _draws(dist, method)
     ok = success_indicator(sp, *b, policy.rate_at(b.h_m), r_s, rule.decide(*b))
-    return FeasibilityReport(*_binomial(ok), feasible=None)
+    return FeasibilityReport(*_binomial(np.count_nonzero(ok), ok.size), feasible=None)
 
 
 def evaluate_constraint_full_duplex(
@@ -105,7 +105,7 @@ def evaluate_constraint_full_duplex(
     b = _draws(dist, method)
     r = policy.rate_at(b.h_m)
     ok = (rate_main_jammed(sp, b.h_m, b.h_z) >= r) & (rate_eve(sp, b.h_e) <= r - r_s)
-    return FeasibilityReport(*_binomial(ok), feasible=None)
+    return FeasibilityReport(*_binomial(np.count_nonzero(ok), ok.size), feasible=None)
 
 
 def _draws(dist: ChannelTriple, method: MonteCarlo | None) -> SampleBatch:
@@ -117,10 +117,10 @@ def _draws(dist: ChannelTriple, method: MonteCarlo | None) -> SampleBatch:
     return sample(dist, method.seed, method.n)
 
 
-def _binomial(ok: np.ndarray) -> tuple[float, float]:
-    """Mean of the success indicators ``ok`` and its binomial standard error."""
-    c = float(np.mean(ok))
-    return c, float(np.sqrt(max(c * (1.0 - c), 0.0) / ok.size))
+def _binomial(count, n: int) -> tuple[float, float]:
+    """Fraction of ``count`` successes in ``n`` blocks and its binomial standard error."""
+    c = float(count / n)
+    return c, float(np.sqrt(max(c * (1.0 - c), 0.0) / n))
 
 
 def _check_secrecy_rate(r_s: float) -> None:
@@ -287,47 +287,101 @@ def optimize_policy_pilot(
     response on common random numbers: the search batch is keyed by
     ``substream(seed, 1)`` and the returned value's by ``substream(seed, 2)``.
     Each batch is drawn and indexed once (:func:`_pilot_batch`) and reused
-    across candidates, bisection steps and alphas.
+    across bisection steps and alphas.  The search scores its candidates by
+    :meth:`_PilotBatch.family`, built once per ``r_s``; the final batch, directly.
     """
     base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)  # on the batches' knots
     clear_lo = np.maximum(rate_main_clear(sp, base.knots_h), r_s)
-
-    def candidate(frac: float) -> RatePolicy:
-        r = base.knots_r.copy()
-        k = int(round(frac * r.size))
-        r[:k] = clear_lo[:k]
-        return RatePolicy.tabulated(base.knots_h, r)
-
     draw = lambda key, size: _pilot_batch(sp, dist, substream(cfg.seed, key), size, cfg.n_knots)
-    search = draw(1, max(cfg.mc_n // 5, 10_000))
-    c_min = np.vectorize(lambda f: search(candidate(f), r_s)[0], otypes=[float])
+    k_of = lambda frac: int(round(frac * clear_lo.size))
+    # both batches are drawn before the search tables exist, so their peaks do not stack
+    search, final = draw(1, max(cfg.mc_n // 5, 10_000)), draw(2, cfg.mc_n)
+    score = search.family(base, clear_lo, r_s)
+    c_min = np.vectorize(lambda f: score(k_of(f))[0], otypes=[float])
     f_star, _ = _grid_then_golden(c_min, 0.0, 1.0, n_grid=11, tol=0.02)
-    policy = candidate(f_star)
-    return policy, *draw(2, cfg.mc_n)(policy, r_s)
+    del score, c_min  # free the search tables before the final scoring
+    policy = _flip(base, clear_lo, k_of(f_star))
+    return policy, *final(policy, r_s)
+
+
+def _flip(base: RatePolicy, clear_r: np.ndarray, k: int) -> RatePolicy:
+    """``base`` with the rates of its first k knots taken from ``clear_r``."""
+    return RatePolicy.tabulated(base.knots_h, np.concatenate([clear_r[:k], base.knots_r[k:]]))
+
+
+def _compact(index: np.ndarray, size: int) -> np.ndarray:
+    return index.astype(np.min_scalar_type(size - 1))  # the least dtype indexing size entries
 
 
 @functools.lru_cache(maxsize=2)  # the search batch and the final batch
 def _pilot_batch(sp: SystemParams, dist: ChannelTriple, seed: int, n: int, n_knots: int):
-    """Draw one pilot batch and index it once (packet-knot cell of h_m, nearest
-    payoff-grid points of h_e and h_z, the three capacities).  Returns
-    ``value(policy, r_s)``: the ``(c_min, std_err)`` of :func:`evaluate_constraint`
-    under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots."""
-    b = _draws(dist, MonteCarlo(seed, n))
-    he_grid, hz_grid = adv._pilot_grids(dist)
     knots_h, _ = _packet_knots(dist.h_m, n_knots)
-    compact = lambda i, grid: i.astype(np.min_scalar_type(grid.size - 1))
-    cell = compact(cell_index(knots_h, b.h_m), knots_h)
-    ie = compact(adv._nearest_index(he_grid, b.h_e), he_grid)
-    iz = compact(adv._nearest_index(hz_grid, b.h_z), hz_grid)
-    # the closure keeps the indices and capacities, not the draws
-    caps = rate_main_jammed(sp, b.h_m, b.h_z), rate_eve(sp, b.h_e), rate_main_clear(sp, b.h_m)
+    return _PilotBatch(sp, dist, _draws(dist, MonteCarlo(seed, n)), knots_h)
 
-    def value(policy: RatePolicy, r_s: float) -> tuple[float, float]:
-        jam_pay, eaves_pay = adv.pilot_payoffs(policy, r_s, sp, dist, he_grid, hz_grid)
-        jam = jam_pay[iz] <= eaves_pay[ie]
-        return _binomial(success_given_capacities(*caps, policy.knots_r[cell], r_s, jam))
 
-    return value
+class _PilotBatch:
+    """A pilot batch indexed once: per draw the packet-knot cell of h_m, the nearest
+    payoff-grid points of h_e and h_z and the three capacities, not the draws.
+    ``batch(policy, r_s)`` is the ``(c_min, std_err)`` of :func:`evaluate_constraint`
+    under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots."""
+
+    def __init__(self, sp: SystemParams, dist: ChannelTriple, b: SampleBatch, knots_h):
+        self.sp, self.dist, self.knots_h = sp, dist, knots_h
+        self.grids = adv._pilot_grids(dist)  # (h_e, h_z)
+        self.cell = _compact(cell_index(knots_h, b.h_m), knots_h.size)
+        self.ie, self.iz = (_compact(adv._nearest_index(g, x), g.size)
+                            for g, x in zip(self.grids, (b.h_e, b.h_z)))
+        self.caps = rate_main_jammed(sp, b.h_m, b.h_z), rate_eve(sp, b.h_e), rate_main_clear(sp, b.h_m)
+
+    def __call__(self, policy: RatePolicy, r_s: float) -> tuple[float, float]:
+        jam_pay, eaves_pay = adv.pilot_payoffs(policy, r_s, self.sp, self.dist, *self.grids)
+        jam = jam_pay[self.iz] <= eaves_pay[self.ie]
+        ok = np.where(jam, *survival(*self.caps, policy.knots_r[self.cell], r_s, ~jam))
+        return _binomial(np.count_nonzero(ok), ok.size)
+
+    @functools.cached_property
+    def bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The occupied (cell, group) bins, cell-major, a group being the pair of
+        grid points iz * len(h_e grid) + ie: the bin of each draw, the group of
+        each bin, and for k = 0 .. knots the number of bins below cell k."""
+        n_he, n_groups = self.grids[0].size, self.grids[0].size * self.grids[1].size
+        key = self.cell * np.int64(n_groups) + self.iz * np.int64(n_he) + self.ie
+        keys, bin_of = np.unique(key, return_inverse=True)
+        first = np.searchsorted(keys, np.arange(self.knots_h.size + 1) * n_groups)
+        return _compact(bin_of, keys.size), _compact(keys % n_groups, n_groups), first
+
+    def family(self, base: RatePolicy, clear_r: np.ndarray, r_s: float):
+        """The scorer ``k -> self(_flip(base, clear_r, k), r_s)``, bit for bit: both
+        options' survival bits, reduced to per-bin counts, and payoff tables are
+        built once; a candidate sums its payoff rows, and counts its survivors
+        exactly from the group totals and the bins below cell k."""
+        rates = base.knots_r, clear_r
+        try:
+            bits = [survival(*self.caps, r[self.cell], r_s) for r in rates]
+        except InvalidRates:  # some draw breaks secrecy if eavesdropped: score it directly
+            return lambda k: self(_flip(base, clear_r, k), r_s)
+        bin_of, group, first = self.bins
+        (jam_b, eaves_b), (jam_c, eaves_c) = (
+            [np.bincount(bin_of, x, group.size) for x in pair] for pair in bits)
+        eaves_total = eaves_b.sum()
+        jam_gain = np.bincount(group, jam_b - eaves_b, self.grids[0].size * self.grids[1].size)
+        eaves_flip = np.concatenate([[0.0], np.cumsum(eaves_c - eaves_b)])
+        jam_flip = (jam_c - eaves_c) - (jam_b - eaves_b)
+        tables = [adv.pilot_payoff_tables(RatePolicy.tabulated(base.knots_h, r), r_s, self.sp,
+                                          self.dist, *self.grids) for r in rates]
+        gap = tables[0][0].shape[0] - base.knots_h.size  # a cell below the first knot
+
+        def score(k: int) -> tuple[float, float]:
+            m = k + gap if k else 0  # payoff rows on the clear option
+            jam_pay, eaves_pay = (np.concatenate([c[:m], b[m:]]).sum(axis=0)
+                                  for b, c in zip(*tables))
+            jam = (jam_pay[:, None] <= eaves_pay).ravel()
+            p = first[k]
+            n_ok = (eaves_total + jam_gain[jam].sum()
+                    + eaves_flip[p] + jam_flip[:p][jam[group[:p]]].sum())
+            return _binomial(n_ok, bin_of.size)
+
+        return score
 
 
 def _best_constant_nocsi(

@@ -120,7 +120,7 @@ def _exp_main_moments(sp: SystemParams, m, e_kind: str, e, h_z: GainDistribution
         d_b, err_b = _d(c_a + c_b, c_z * (1.0 + m / jam / e))
         pos, err_pos = d_a - d_b, err_a + err_b + _TAU * (d_a + d_b)
     else:
-        t = jam * e / m
+        t = np.minimum(jam * e / m, 1e300)  # e^-t is 0 past 746: the cap only keeps inf * 0 out
         w = np.exp(-t) / (1.0 + t / c_z)
         d_b, err_b = _d(c_a + t, c_z + t)
         pos, err_pos = w * d_b, w * (err_b + _TAU * (1.0 + t) * d_b)
@@ -130,7 +130,8 @@ def _exp_main_moments(sp: SystemParams, m, e_kind: str, e, h_z: GainDistribution
 def _gap_moments(sp: SystemParams, m, e_kind: str, e, z, mean_b):
     """(E[A], E[(A - B)^+]) given H_z = z for a point-mass H_m, by the module's
     closed forms.  ``m``, ``e``, ``mean_b`` = E[B] and ``z`` broadcast."""
-    jam = 1.0 + sp.p_j * np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):  # p_j z past 1.8e308: A = 0, as rate_main_jammed takes it
+        jam = 1.0 + sp.p_j * np.asarray(z, dtype=float)
     mean_a = rate_main_jammed(sp, m, z)
     if e_kind == EXPONENTIAL:
         with np.errstate(divide="ignore"):  # p = 0: c_b is inf and g(inf) = 0

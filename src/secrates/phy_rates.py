@@ -60,22 +60,25 @@ def success_indicator(sp: SystemParams, h_m, h_e, h_z, rate_r, r_s, jamming):
     ``r_s > rate_r``: the secrecy condition can then never hold, which is
     a policy bug rather than an outage.
     """
-    out = success_given_capacities(rate_main_jammed(sp, h_m, h_z), rate_eve(sp, h_e),
-                                   rate_main_clear(sp, h_m), rate_r, r_s, jamming)
+    jamming = np.asarray(jamming, bool)
+    caps = rate_main_jammed(sp, h_m, h_z), rate_eve(sp, h_e), rate_main_clear(sp, h_m)
+    out = np.where(jamming, *survival(*caps, rate_r, r_s, ~jamming))
     return out if out.ndim else bool(out)
 
 
-def success_given_capacities(cap_jam, cap_eve, cap_clear, rate_r, r_s, jamming) -> np.ndarray:
-    """:func:`success_indicator` given the jammed main, eavesdropper and
-    clear main capacities of each block; raises the same :class:`InvalidRates`."""
+def survival(cap_jam, cap_eve, cap_clear, rate_r, r_s, eavesdropped=True):
+    """(ok_if_jammed, ok_if_eavesdropped): the success of each block under either
+    action, given its jammed main, eavesdropper and clear main capacities.
+
+    Raises :class:`InvalidRates` on a negative rate, or if a block that may be
+    eavesdropped (``eavesdropped``: a boolean mask, or every block) has ``r_s > rate_r``.
+    """
     rate_r = np.asarray(rate_r, float)
-    jamming = np.asarray(jamming, bool)
     if np.any(np.asarray(r_s, float) < 0) or np.any(rate_r < 0):
         raise InvalidRates("rates must be nonnegative")
-    if np.any(~jamming & (np.asarray(r_s, float) > rate_r)):
+    if np.any(eavesdropped & (np.asarray(r_s, float) > rate_r)):
         raise InvalidRates("secrecy rate exceeds code rate on an eavesdropped block")
-    return np.where(jamming, cap_jam >= rate_r,
-                    (cap_eve <= rate_r - r_s) & (cap_clear >= rate_r))
+    return cap_jam >= rate_r, (cap_eve <= rate_r - r_s) & (cap_clear >= rate_r)
 
 
 def jam_threshold(r, sp: SystemParams, h_z=0.0) -> np.ndarray:

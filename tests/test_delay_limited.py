@@ -12,6 +12,7 @@ from secrates.delay_limited import (
     _assert_monotone,
     _best_constant_nocsi,
     _cell_jam_mass,
+    _flip,
     _pilot_batch,
     c_min_closed_form,
     evaluate_constraint,
@@ -341,6 +342,15 @@ class TestPilotPolicy:
                     SearchConfig(mc_n=20_000, rate_tol=1e-3))
         assert (sol.r_s_star, sol.report.c_min, sol.report.std_err) == frozen
 
+    def test_frozen_fading_jammer_solve(self, paper_ergodic_setup):
+        # a fading jamming link: 200 x 200 payoff-grid groups; recorded before
+        # the search scored its candidates per r_s
+        sp, dist = paper_ergodic_setup
+        sol = solve(CsiRegime.PILOT_FEEDBACK, sp, dist, 0.5,
+                    SearchConfig(mc_n=20_000, rate_tol=1e-3))
+        assert (sol.r_s_star, sol.report.c_min, sol.report.std_err) == (
+            0.796875, 0.5, 0.0035355339059327377)
+
     @pytest.mark.parametrize("dist, n_draws", [
         (ChannelTriple(E(10.0), E(1.0), D(1.0)), 2),
         (det_triple(3.0, 0.5, 1.0), 0),  # a point-mass triple is one exact realization
@@ -407,6 +417,72 @@ class TestPilotBatchMatchesOracle:
         for scorer in (self.fast, self.oracle):
             with pytest.raises(InvalidRates):
                 scorer(policy, 0.8, sp, dist)
+
+
+class TestPilotFamilyMatchesOracle:
+    """The per-r_s family scorer against the direct scorer and against
+    evaluate_constraint + best_response_pilot, for every candidate k."""
+
+    SEED, N, N_KNOTS = 5, 20_000, 64
+
+    def scores(self, sp, dist, r_s, base, clear_r, k):
+        """(family, direct, oracle): each a (c_min, std_err) or the error it raised."""
+        batch = _pilot_batch(sp, dist, self.SEED, self.N, self.N_KNOTS)
+        policy = _flip(base, clear_r, k)
+
+        def oracle():
+            rule = best_response_pilot(policy, r_s, sp, dist)
+            rep = evaluate_constraint(CsiRegime.PILOT_FEEDBACK, policy, r_s, sp, dist, rule,
+                                      MonteCarlo(seed=self.SEED, n=self.N))
+            return rep.c_min, rep.std_err
+
+        def outcome(scorer):
+            try:
+                return scorer()
+            except InvalidRates:
+                return InvalidRates
+
+        return tuple(map(outcome, (lambda: batch.family(base, clear_r, r_s)(k),
+                                   lambda: batch(policy, r_s), oracle)))
+
+    def check_every_candidate(self, sp, dist, r_s, base, clear_r):
+        outcomes = [self.scores(sp, dist, r_s, base, clear_r, k)
+                    for k in range(base.knots_h.size + 1)]
+        for family, direct, oracle in outcomes:
+            assert family == direct == oracle
+        return [family for family, _, _ in outcomes]
+
+    def check_pilot_family(self, sp, dist, r_s):
+        base, _ = optimize_policy_packet(r_s, sp, dist, self.N_KNOTS)
+        clear_r = np.maximum(np.log2(1.0 + sp.p * base.knots_h), r_s)
+        return self.check_every_candidate(sp, dist, r_s, base, clear_r)
+
+    @pytest.mark.parametrize("h_z", [D(1.0), E(1.0)])
+    def test_every_candidate(self, h_z):
+        values = self.check_pilot_family(SystemParams(1.0, 1.0),
+                                         ChannelTriple(E(10.0), E(1.0), h_z), 0.8)
+        assert len(set(values)) > 10 and InvalidRates not in values
+
+    @pytest.mark.parametrize("dist", [
+        ChannelTriple(D(3.0), E(1.0), D(1.0)),
+        ChannelTriple(D(3.0), E(1.0), E(1.0)),
+        det_triple(3.0, 0.5, 1.0),  # exact single realization
+    ])
+    def test_point_mass_main_gain(self, dist):
+        assert InvalidRates not in self.check_pilot_family(SystemParams(1.0, 1.0), dist, 0.2)
+
+    @pytest.mark.parametrize("dist, expected", [
+        # eavesdropping always wins: every candidate breaks secrecy
+        (ChannelTriple(E(10.0), E(1.0), D(1.0)), [InvalidRates] * 3),
+        # rate 1 is jammed (no block eavesdropped), rate 0.1 eavesdropped
+        (det_triple(0.5, 2.0, 1.0), [(0.0, 0.0), InvalidRates, InvalidRates]),
+    ])
+    def test_rates_below_secrecy_rate(self, dist, expected):
+        sp, r_s = SystemParams(1.0, 1.0), 1.5
+        knots_h, _ = delay_limited._packet_knots(dist.h_m, self.N_KNOTS)
+        base = RatePolicy.tabulated(knots_h, np.full(knots_h.size, 1.0))
+        values = self.check_every_candidate(sp, dist, r_s, base, np.full(knots_h.size, 0.1))
+        assert [values[0], values[1], values[-1]] == expected
 
 
 class TestSolve:

@@ -104,6 +104,23 @@ class TestEdgeCases:
         val, err = rate_arq(ErgodicConfig(sp, dist, hz_star=1e150))
         assert val == pytest.approx(0.0, abs=1e-9) and err == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h_e", [GainDistribution.exponential(1.0),
+                                     GainDistribution.deterministic(1.0)])
+    @pytest.mark.parametrize("h_m", [GainDistribution.exponential(10.0),
+                                     GainDistribution.deterministic(10.0)])
+    def test_jamming_product_past_double_range(self, h_m, h_e):
+        # p_j z = 1e400 overflowed with a RuntimeWarning: at 1 + p_j z for a
+        # point-mass H_m, at t / c_z = inf / inf for an exponential H_m and a
+        # point-mass H_e.  It must act as the finite 1e300 does
+        def rates(huge):
+            cfg = ErgodicConfig(SystemParams(1.0, huge),
+                                ChannelTriple(h_m, h_e, GainDistribution.deterministic(huge)), 1.0)
+            return rate_nocsi(cfg), rate_upper_bound(cfg)
+
+        for (v, err), (ref, ref_err) in zip(rates(1e200), rates(1e150)):
+            assert abs(v - ref) <= err + ref_err
+
     def test_negative_threshold_rejected(self, paper_ergodic_setup):
         sp, dist = paper_ergodic_setup
         with pytest.raises(ValueError):
