@@ -59,7 +59,8 @@ _FINITE_NONNEG = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 # required).  The top-level scalars, each value of ``alphas``, and ``point.args``.
 _KEYS = {
     "seed": (_integer, lambda v: v >= 0, ">= 0", 20240),
-    "samples": (_integer, lambda v: v >= 1, ">= 1", 1_000_000),
+    # a pilot solve holds about 60 bytes per draw: 10**8 draws take several GB
+    "samples": (_integer, lambda v: 1 <= v <= 10**8, "from 1 to 10**8", 1_000_000),
     "rate_tol": (_number, lambda v: 0.0 < v < np.inf, "finite and > 0", 1e-4),
     "hz_star": (_number, *_FINITE_NONNEG, None),
     "hz_quantile": (_number, lambda v: 0.0 < v < 1.0, "in (0, 1)", 0.75),

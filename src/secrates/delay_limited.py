@@ -387,16 +387,17 @@ class _PilotBatch:
 def _best_constant_nocsi(
     r_s: float, sp: SystemParams, dist: ChannelTriple
 ) -> tuple[RatePolicy, float]:
-    """Maximize the no-CSI closed form over the constant code rate."""
+    """Maximize the no-CSI closed form over the constant code rate, on a
+    window [r_s, hi] widened until a jammed block carries rate hi with mass
+    at most 1e-9: at the latest once 2^hi overflows and the mass is 0."""
 
     def g(r):
         # c_min_closed_form of RatePolicy.constant(r), for an array of r
         mass = _cell_jam_mass(0.0, np.inf, r, sp, dist)
         return np.clip(secrecy_factor(r, r_s, sp, dist.h_e) * mass, 0.0, 1.0)
 
-    # shrink the search window to where a successful jammed block is possible
     hi = r_s + 1.0
-    while hi < r_s + _R_CAP and _cell_jam_mass(0.0, np.inf, hi, sp, dist) > 1e-9:
+    while _cell_jam_mass(0.0, np.inf, hi, sp, dist) > 1e-9:
         hi = r_s + 2.0 * (hi - r_s)
     r_star, c = _grid_then_golden(g, r_s, hi, n_grid=96)
     return RatePolicy.constant(r_star), float(c)
@@ -454,8 +455,8 @@ def solve(
     else:
         hi = _R_CAP  # feasible everywhere we are willing to search
 
-    while hi - lo > cfg.rate_tol:
-        mid = 0.5 * (lo + hi)
+    # a rate_tol below the float spacing ends once no double lies between lo and hi
+    while hi - lo > cfg.rate_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         ok, c, se, policy = feasible_at(mid)
         if ok:
             lo, lo_state = mid, (c, se, policy)

@@ -24,8 +24,7 @@ Point-mass H_m: given H_z, with s_a = k m, E[A] = log2(1 + s_a) and
 E[(A - B)^+] is log2(1 + s_a) - (g(c_b) - e^{-c_b s_a} g(c_b (1 + s_a)))/ln 2
 for an exponential H_e, (log2(1 + s_a) - log2(1 + s_b))^+ for a point mass.
 So a rate is one quadrature over an exponential H_z, with E[B] taken
-outside the integral.  ``method=MonteCarlo(...)`` instead averages one
-sampled batch, an oracle for the closed forms.
+outside the integral.
 """
 
 from __future__ import annotations
@@ -36,16 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channels import (
-    EXPONENTIAL,
-    ChannelTriple,
-    GainDistribution,
-    MonteCarlo,
-    expect,
-    sample,
-)
+from .channels import EXPONENTIAL, ChannelTriple, GainDistribution, expect
 from .errors import require
-from .phy_rates import SystemParams, rate_eve, rate_main_jammed
+from .phy_rates import SystemParams, rate_main_jammed
 
 _LN2 = math.log(2.0)
 # Relative rounding bound on one g value or one computed argument: exp and
@@ -143,19 +135,12 @@ def _gap_moments(sp: SystemParams, m, e_kind: str, e, z, mean_b):
     return np.broadcast_arrays(mean_a, pos)
 
 
-def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale, method=None):
+def _rate_pair(sp: SystemParams, laws: tuple, h_z: GainDistribution, scale):
     """(max(E[A - B], 0), E[(A - B)^+] scale, err of the first, err of the second).
 
     ``laws`` is (kind of H_m, its param, kind of H_e, its param); the params
-    may be arrays that broadcast, except under ``MonteCarlo``.
+    may be arrays that broadcast.
     """
-    if isinstance(method, MonteCarlo):
-        dist = ChannelTriple(GainDistribution(*laws[:2]), GainDistribution(*laws[2:]), h_z)
-        b = sample(dist, method.seed, method.n)
-        diff = rate_main_jammed(sp, b.h_m, b.h_z) - rate_eve(sp, b.h_e)
-        vals = np.stack([diff, np.maximum(diff, 0.0)])
-        moments, errs = vals.mean(axis=1), vals.std(ddof=1, axis=1) / np.sqrt(method.n)
-        return np.maximum(moments[0], 0.0), moments[1] * scale, errs[0], errs[1] * scale
     s_b = sp.p * np.asarray(laws[3], dtype=float)
     with np.errstate(divide="ignore"):
         mean_b = _g(1.0 / s_b) / _LN2 if laws[2] == EXPONENTIAL else np.log2(1.0 + s_b)
@@ -172,50 +157,42 @@ def _laws(dist: ChannelTriple) -> tuple:
     return (dist.h_m.kind, dist.h_m.param, dist.h_e.kind, dist.h_e.param)
 
 
-def rate_nocsi(
-    cfg: ErgodicConfig,
-    method: MonteCarlo | None = None,
-) -> tuple[float, float]:
+def rate_nocsi(cfg: ErgodicConfig) -> tuple[float, float]:
     """Rate of encoding across blocks with no CSI: max(E[A - B], 0), the
     positive part of the mean capacity advantage over the always-jamming /
     eavesdropping mix.
 
-    By default, for an exponential H_m, the module's closed form with a
-    bound on its rounding error as error bar; for a point-mass H_m, one
-    quadrature over H_z with the quadrature tolerance as error bar.
+    For an exponential H_m, the module's closed form with a bound on its
+    rounding error as error bar; for a point-mass H_m, the closed form
+    given H_z, taken at a point-mass H_z (error bar 0) or by one quadrature
+    over an exponential H_z (error bar the quadrature tolerance).
     """
-    value, _, err, _ = _rate_pair(cfg.sp, _laws(cfg.dist), cfg.dist.h_z, 1.0, method)
+    value, _, err, _ = _rate_pair(cfg.sp, _laws(cfg.dist), cfg.dist.h_z, 1.0)
     return float(value), float(err)
 
 
-def rate_upper_bound(
-    cfg: ErgodicConfig,
-    method: MonteCarlo | None = None,
-) -> tuple[float, float]:
+def rate_upper_bound(cfg: ErgodicConfig) -> tuple[float, float]:
     """Upper bound for any block-by-block scheme with threshold hz_star:
     E[(A - B)^+] P[H_z <= hz_star].
 
     Evaluated as ``rate_nocsi`` is.
     """
     h_z = cfg.dist.h_z
-    _, value, _, err = _rate_pair(cfg.sp, _laws(cfg.dist), h_z, h_z.cdf(cfg.hz_star), method)
+    _, value, _, err = _rate_pair(cfg.sp, _laws(cfg.dist), h_z, h_z.cdf(cfg.hz_star))
     return float(value), float(err)
 
 
-def rate_arq(
-    cfg: ErgodicConfig,
-    method: MonteCarlo | None = None,
-) -> tuple[float, float]:
+def rate_arq(cfg: ErgodicConfig) -> tuple[float, float]:
     """Rate of the plain ARQ block-by-block scheme: the jamming gain in
     the expectation is pinned at hz_star and the probability factor is
     squared (one feedback round per retransmission).
 
-    By default the closed form E[(A - B)^+ | H_z = hz_star] with a bound
-    on its rounding error as error bar (zero for a point-mass H_m).
+    The closed form E[(A - B)^+ | H_z = hz_star], with a bound on its
+    rounding error as error bar (zero for a point-mass H_m).
     """
     pinned = GainDistribution.deterministic(cfg.hz_star)
     scale = cfg.dist.h_z.cdf(cfg.hz_star) ** 2
-    _, value, _, err = _rate_pair(cfg.sp, _laws(cfg.dist), pinned, scale, method)
+    _, value, _, err = _rate_pair(cfg.sp, _laws(cfg.dist), pinned, scale)
     return float(value), float(err)
 
 

@@ -13,7 +13,9 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import secrates
-from secrates.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE, EXIT_OK, main
+from secrates.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE, EXIT_OK, _resolve,
+                          main)
+from secrates.errors import ConfigError
 
 FAST_CHANNELS = {
     "h_m": {"kind": "deterministic", "value": 3.0},
@@ -158,7 +160,7 @@ class TestConfigErrors:
         assert "--out-dir" in err and "Traceback" not in err
 
     def test_oversized_samples(self, tmp_path, capsys):
-        # 10**15 draws exceed the address space, so the allocation fails at once
+        # 10**15 draws are refused by the range of samples, before any allocation
         cfg = write_config(tmp_path / "c.yaml", {
             "scenario": "point-eval", "samples": 10**15,
             "channels": {"h_m": {"kind": "exponential", "mean": 10.0},
@@ -167,6 +169,24 @@ class TestConfigErrors:
             "point": {"op": "solve", "args": {"regime": "pilot_feedback", "alpha": 0.5}},
         })
         assert main(["--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "samples" in err and "10**8" in err and "Traceback" not in err
+
+    def test_samples_bound(self):
+        # one draw past the bound is a ConfigError naming the key; nothing is allocated
+        config = {"scenario": "point-eval", "point": {"op": "cdf", "args": {"x": 1.0}}}
+        with pytest.raises(ConfigError, match="samples"):
+            _resolve({**config, "samples": 10**8 + 1})
+        assert _resolve({**config, "samples": 10**8}).search.mc_n == 10**8
+
+    def test_oversized_grid(self, tmp_path, capsys):
+        # 10**15 grid points exceed the address space, so the allocation fails at once
+        cfg = write_config(tmp_path / "c.yaml", {
+            "scenario": "ergodic-region",
+            "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 10**15},
+                     "hm": {"start": 0.5, "stop": 200.0, "num": 3}},
+        })
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "samples" in err and "grid" in err and "Traceback" not in err
 

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -499,6 +500,38 @@ class TestSolve:
         for bad in (math.nan, 0.0, -1.0):
             with pytest.raises(ValueError, match="rate_tol"):
                 solve(CsiRegime.NO_CSI, sp, dist, 0.5, SearchConfig(rate_tol=bad))
+
+    @pytest.mark.parametrize("regime", [CsiRegime.NO_CSI, CsiRegime.PACKET_FEEDBACK])
+    def test_rate_tol_below_float_spacing(self, regime, paper_delay_setup):
+        # once lo and hi are adjacent doubles their midpoint is one of them, so
+        # a bracket wider than rate_tol never shrank and the search never ended
+        def timeout(signum, frame):
+            raise TimeoutError("solve did not return")
+
+        sp, dist = paper_delay_setup
+        ref = solve(regime, sp, dist, 0.5, SearchConfig(rate_tol=1e-12))
+        old = signal.signal(signal.SIGALRM, timeout)
+        try:
+            for tol in (1e-17, 1e-300):
+                signal.alarm(60)
+                sol = solve(regime, sp, dist, 0.5, SearchConfig(rate_tol=tol))
+                signal.alarm(0)
+                assert sol.report.feasible is True
+                assert sol.r_s_star == pytest.approx(ref.r_s_star, abs=1e-9)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h_z", [D(1.0), E(1.0)])
+    def test_nocsi_code_rate_past_64_bits(self, h_z):
+        # log2(1 + p h) passes 64 bits near p = 1e19; the code-rate search
+        # stopped at r_s + 64 bits, so at p = 1e30 it found no feasible rate
+        cfg = SearchConfig(rate_tol=1e-3)
+        r_s = [solve(CsiRegime.NO_CSI, SystemParams(p, 1.0), ChannelTriple(E(10.0), E(1.0), h_z),
+                     0.5, cfg).r_s_star for p in (1e15, 1e30)]
+        assert r_s[0] > 0.0
+        assert r_s[1] == pytest.approx(r_s[0], abs=2 * cfg.rate_tol)
 
     @pytest.mark.parametrize("field, bad", [
         ("rate_tol", math.inf), ("n_knots", 2.5), ("n_knots", 0), ("seed", -1), ("seed", 1.5),
