@@ -76,7 +76,6 @@ _DEFAULT_CHANNELS = {
     "h_e": {"kind": "exponential", "mean": 1.0},
     "h_z": {"kind": "deterministic", "value": 1.0},
 }
-_AXIS = ("start", "stop", "num")
 
 
 def _fmt(x) -> str:
@@ -127,18 +126,16 @@ def _parse_gain(channels, name: str) -> GainDistribution:
     return _build(where, lambda: GainDistribution(kind, _number(section[param])))
 
 
-def _parse_axis(section, where: str) -> tuple[float, float, int]:
-    """(start, stop, num) of a finite, positive, increasing axis."""
+def _axis(section, where: str):
+    """(num, make) of a finite, positive, increasing axis; ``make()`` builds its points."""
     start, stop, num = _build(f"{where} (start/stop/num)", lambda: (
         _number(section["start"]), _number(section["stop"]), _integer(section["num"])))
     if not (num >= 1 and 0 < start <= stop < np.inf and (num == 1 or stop > start)):
         raise ConfigError(f"{where}: axis must be finite, positive and increasing")
-    return start, stop, num
-
-
-def _axis(section, where: str) -> np.ndarray:
-    fields = _parse_axis(section, where)
-    return (np.geomspace if section.get("spacing", "log") == "log" else np.linspace)(*fields)
+    spacing = section.get("spacing", "log")
+    if spacing not in ("log", "linear"):
+        raise ConfigError(f"{where}.spacing: expected log or linear, got {spacing!r}")
+    return num, lambda: (np.geomspace if spacing == "log" else np.linspace)(start, stop, num)
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ class Experiment:
     config: dict
     sp: SystemParams
     dist: ChannelTriple
-    search: SearchConfig
+    search: SearchConfig | None = None  # delay-limited-sweep and point-eval, which can solve
     hz_star: float | None = None  # the H_z threshold; ergodic-region and point-eval
     axes: tuple[np.ndarray, np.ndarray] | None = None  # (E[H_e], E[H_m]); ergodic-region
 
@@ -162,11 +159,13 @@ def _resolve(config: dict) -> Experiment:
         "scenario": scenario,
         "channels": config.get("channels", _DEFAULT_CHANNELS),
         "power": config.get("power", {"p": 1.0, "p_j": 1.0}),
-        **{key: _value(key, config) for key in ("seed", "samples", "rate_tol")},
     }
+    search = None
+    if scenario != "ergodic-region":  # only solve() reads seed, samples and rate_tol
+        out.update({key: _value(key, config) for key in ("seed", "samples", "rate_tol")})
+        search = SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
     dist = ChannelTriple(*(_parse_gain(out["channels"], name) for name in ("h_m", "h_e", "h_z")))
     sp = _build("power", lambda: SystemParams(_number(out["power"]["p"]), _number(out["power"]["p_j"])))
-    search = SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
 
     if scenario == "delay-limited-sweep":
         alphas = config.get("alphas")
@@ -179,7 +178,11 @@ def _resolve(config: dict) -> Experiment:
         grid = config.get("grid")
         if not isinstance(grid, dict) or "he" not in grid or "hm" not in grid:
             raise ConfigError("grid: he and hm axes are required for ergodic-region")
-        axes = _axis(grid["he"], "grid.he"), _axis(grid["hm"], "grid.hm")
+        (n_he, he), (n_hm, hm) = _axis(grid["he"], "grid.he"), _axis(grid["hm"], "grid.hm")
+        if n_he * n_hm > 10**6:  # each region array holds a float per cell
+            raise ConfigError(f"grid.he.num x grid.hm.num: must be at most 10**6 cells, "
+                              f"got {n_he} x {n_hm}")
+        axes = he(), hm()
         out["grid"] = grid
     else:
         point = config.get("point")
@@ -198,15 +201,12 @@ def _resolve(config: dict) -> Experiment:
     return Experiment(out, sp, dist, search, hz_star, axes)
 
 
-def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str],
-                    results: dict, wall_clock: float) -> None:
+def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str], wall_clock: float) -> None:
     manifest = {
         "tool": "secrates",
         "version": __version__,
         "config": resolved,
-        "seed": resolved["seed"],
         "outputs": outputs,
-        "results": results,
         "wall_clock_s": wall_clock,
     }
     path = out_dir / "manifest.json"
@@ -216,13 +216,11 @@ def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str],
 def run_delay_limited_sweep(exp: Experiment, out_dir: Path) -> int:
     t0 = time.monotonic()
     rows = []
-    results = {}
     for alpha in exp.config["alphas"]:
         sols = [solve(regime, exp.sp, exp.dist, alpha, exp.search) for regime in CsiRegime]
         errs = [sol.report.std_err for sol in sols]
         rows.append([alpha] + [sol.r_s_star for sol in sols] + errs
                     + [not sol.report.feasible for sol in sols])
-        results[f"alpha_{alpha:g}"] = {"stderr_pilot": errs[2]}
     header = [
         "alpha", "r_s_nocsi", "r_s_packet", "r_s_pilot",
         "c_stderr_nocsi", "c_stderr_packet", "c_stderr_pilot",
@@ -230,7 +228,7 @@ def run_delay_limited_sweep(exp: Experiment, out_dir: Path) -> int:
     ]
     csv_path = out_dir / "delay_limited_sweep.csv"
     _write_csv(csv_path, header, rows)
-    _write_manifest(out_dir, exp.config, [csv_path.name], results, time.monotonic() - t0)
+    _write_manifest(out_dir, exp.config, [csv_path.name], time.monotonic() - t0)
     print(f"wrote {csv_path}")
     return EXIT_INFEASIBLE if all(all(row[7:]) for row in rows) else EXIT_OK
 
@@ -258,12 +256,8 @@ def run_ergodic_region(exp: Experiment, out_dir: Path) -> int:
     boundary_path = out_dir / "ergodic_boundary.csv"
     _write_csv(boundary_path, ["e_he", "e_hm_boundary", "status", "gap_err"],
                [[b.e_he, b.e_hm, b.status, b.gap_err] for b in region.boundary])
-
-    n_ok = sum(1 for b in region.boundary if b.status == "ok")
-    _write_manifest(
-        out_dir, exp.config, [grid_path.name, boundary_path.name],
-        {"boundary_points": n_ok}, time.monotonic() - t0,
-    )
+    _write_manifest(out_dir, exp.config, [grid_path.name, boundary_path.name],
+                    time.monotonic() - t0)
     print(f"wrote {grid_path} and {boundary_path}")
     return EXIT_OK
 
@@ -310,28 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="secrates",
         description="Secrecy-rate experiments for the hybrid-adversary wiretap channel",
     )
-    p.add_argument("--config", type=Path, help="YAML experiment config")
-    p.add_argument("--rerun", type=Path, help="re-run from a manifest.json")
-    p.add_argument("--scenario", choices=SCENARIOS)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=Path, help="YAML experiment config")
+    source.add_argument("--rerun", type=Path, help="re-run from a manifest.json")
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--alpha", action="append", type=float,
-                   help="outage threshold; repeatable, overrides config alphas")
-    p.add_argument("--grid-he", help="E[H_e] axis as start:stop:num")
-    p.add_argument("--grid-hm", help="E[H_m] axis as start:stop:num")
-    p.add_argument("--hz-quantile", type=float)
     return p
 
 
-def _axis_from_flag(flag: str, where: str) -> dict:
-    parts = flag.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{where}: expected start:stop:num")
-    return dict(zip(_AXIS, _parse_axis(dict(zip(_AXIS, parts)), where)))
-
-
 def _load_config(args) -> dict:
+    """The mapping in the ``--config`` file, or the config a ``--rerun`` manifest records."""
     if args.rerun is not None:
         try:
             manifest = json.loads(args.rerun.read_text(encoding="utf-8"))
@@ -340,26 +321,12 @@ def _load_config(args) -> dict:
         if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
             raise ConfigError("--rerun: manifest has no 'config' mapping")
         return manifest["config"]
-
-    config = {}
-    if args.config is not None:
-        try:
-            config = yaml.safe_load(args.config.read_text(encoding="utf-8")) or {}
-        except (OSError, ValueError, yaml.YAMLError) as exc:
-            raise ConfigError(f"--config: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError("--config: expected a mapping")
-    for dest, key in (("scenario", "scenario"), ("seed", "seed"), ("samples", "samples"),
-                      ("alpha", "alphas"), ("hz_quantile", "hz_quantile")):
-        if getattr(args, dest) is not None:
-            config[key] = getattr(args, dest)
-    for axis in ("he", "hm"):
-        flag = getattr(args, f"grid_{axis}")
-        if flag is not None:
-            grid = config.get("grid")
-            grid = dict(grid) if isinstance(grid, dict) else {}
-            grid[axis] = _axis_from_flag(flag, f"--grid-{axis}")
-            config["grid"] = grid
+    try:
+        config = yaml.safe_load(args.config.read_text(encoding="utf-8")) or {}
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        raise ConfigError(f"--config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("--config: expected a mapping")
     return config
 
 
@@ -384,8 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
-        print(f"config error: out of memory; lower samples or the grid size "
-              f"(grid.he.num, grid.hm.num): {exc}", file=sys.stderr)
+        print(f"config error: out of memory; lower samples: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channels import EXPONENTIAL, ChannelTriple, GainDistribution, expect
 from .errors import require
@@ -61,6 +60,8 @@ def _g(x):
     Past x = 700, where e^x overflows, the asymptotic series
     sum_{k <= 8} (-1)^k k!/x^{k+1} (relative error below 1e-20); g(inf) = 0.
     """
+    from scipy import special  # imported here: importing the package loads no scipy module
+
     x = np.asarray(x, dtype=float)
     big = x > 700.0
     xs = np.where(big, 1.0, x)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,13 +31,26 @@ def write_config(path, data):
 
 
 def test_import_loads_no_quadrature():
-    # channels.expect imports scipy.integrate when it first runs, so a CLI
-    # run that needs no quadrature never pays for that import
+    # channels.expect imports scipy.integrate, and ergodic._g scipy.special, when
+    # each first runs, so a CLI run that needs neither never pays for scipy
     env = dict(os.environ, PYTHONPATH=str(Path(secrates.__file__).parents[1]))
-    code = "import sys, secrates.cli; print('scipy.integrate' in sys.modules)"
+    code = "import sys, secrates.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_one_input_path(capsys):
+    # the config file or a manifest, never both, never neither, and no other input
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+        "--help", "--config", "--rerun", "--out-dir"}
+    for argv in ([], ["--config", "c.yaml", "--rerun", "manifest.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
 
 
 class TestConfigErrors:
@@ -129,6 +143,22 @@ class TestConfigErrors:
         ({"scenario": "ergodic-region",
           "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 2},
                    "hm": {"start": 0.5, "stop": True, "num": 2}}}, "grid.hm"),
+        # an axis end that is no number, a count past the floats, a missing count
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": "x", "stop": 2.0, "num": 3},
+                   "hm": {"start": 1.0, "stop": 10.0, "num": 2}}}, "grid.he"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": 0.5, "stop": 2.0, "num": math.inf},
+                   "hm": {"start": 1.0, "stop": 10.0, "num": 2}}}, "grid.he"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 2},
+                   "hm": {"start": 1.0, "stop": 10.0}}}, "grid.hm"),
+        # a spacing other than log or linear used to run as linear
+        *(({"scenario": "ergodic-region",
+            "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 3},
+                     "hm": {"start": 1.0, "stop": 10.0, "num": 2},
+                     axis: {"start": 0.5, "stop": 2.0, "num": 3, "spacing": bad}}},
+           f"grid.{axis}.spacing") for axis, bad in (("he", "logarithmic"), ("hm", None))),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, extra, key):
         data = {"scenario": "point-eval", "channels": FAST_CHANNELS,
@@ -138,17 +168,6 @@ class TestConfigErrors:
         assert main(["--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("flags, flag", [
-        (["--grid-he", "x:2:3", "--grid-hm", "1:10:2"], "--grid-he"),
-        (["--grid-he", "0.5:2:1e400", "--grid-hm", "1:10:2"], "--grid-he"),
-        (["--grid-he", "0.5:2:2", "--grid-hm", "1:10"], "--grid-hm"),
-    ])
-    def test_malformed_grid_flag(self, tmp_path, capsys, flags, flag):
-        argv = ["--scenario", "ergodic-region", "--out-dir", str(tmp_path), *flags]
-        assert main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert flag in err and "Traceback" not in err
 
     def test_out_dir_names_a_file(self, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -180,7 +199,7 @@ class TestConfigErrors:
         assert _resolve({**config, "samples": 10**8}).search.mc_n == 10**8
 
     def test_oversized_grid(self, tmp_path, capsys):
-        # 10**15 grid points exceed the address space, so the allocation fails at once
+        # 10**15 grid points are refused by the grid-size bound, before any allocation
         cfg = write_config(tmp_path / "c.yaml", {
             "scenario": "ergodic-region",
             "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 10**15},
@@ -188,7 +207,25 @@ class TestConfigErrors:
         })
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "samples" in err and "grid" in err and "Traceback" not in err
+        assert "grid.he.num" in err and "grid.hm.num" in err and "Traceback" not in err
+
+    def test_grid_bound(self):
+        # one row past 10**6 cells is a ConfigError naming both counts; no axis is built
+        def region(n_he, n_hm):
+            return {"scenario": "ergodic-region",
+                    "grid": {"he": {"start": 0.5, "stop": 2.0, "num": n_he},
+                             "hm": {"start": 1.0, "stop": 10.0, "num": n_hm}}}
+        with pytest.raises(ConfigError, match=r"grid\.he\.num x grid\.hm\.num"):
+            _resolve(region(1001, 1000))
+        assert [a.size for a in _resolve(region(1000, 1000)).axes] == [1000, 1000]
+
+    def test_axis_spacing(self):
+        # log is the default; linear is the one other spacing
+        grid = {"he": {"start": 0.5, "stop": 2.0, "num": 3},
+                "hm": {"start": 1.0, "stop": 4.0, "num": 3, "spacing": "linear"}}
+        he, hm = _resolve({"scenario": "ergodic-region", "grid": grid}).axes
+        assert he.tolist() == pytest.approx([0.5, 1.0, 2.0], rel=1e-15)
+        assert hm.tolist() == [1.0, 2.5, 4.0]
 
 
 class TestDelayLimitedSweep:
@@ -235,7 +272,9 @@ class TestDelayLimitedSweep:
         assert manifest["tool"] == "secrates"
         assert manifest["outputs"] == ["delay_limited_sweep.csv"]
         assert manifest["config"]["scenario"] == "delay-limited-sweep"
-        assert "seed" in manifest and "version" in manifest
+        assert manifest["config"]["seed"] == 20240 and "version" in manifest
+        # each value once: no copy of the seed or of the CSV columns beside the config
+        assert set(manifest) == {"tool", "version", "config", "outputs", "wall_clock_s"}
 
     def test_infeasible_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", {
@@ -297,15 +336,29 @@ class TestErgodicRegion:
 
     def test_integral_float_counts(self, tmp_path):
         # whole numbers written as floats (PyYAML reads 1.0e6 as a string) are counts
+        point = yaml.safe_load("scenario: point-eval\nseed: 7.0\nsamples: 1.0e6\n"
+                               "point: {op: cdf, args: {x: 1.0}}\n")
+        config = _resolve(point).config  # the config a manifest records
+        assert (config["seed"], config["samples"]) == (7, 10**6)
         cfg = tmp_path / "c.yaml"
-        cfg.write_text("scenario: ergodic-region\nseed: 7.0\nsamples: 1.0e6\ngrid:\n"
+        cfg.write_text("scenario: ergodic-region\ngrid:\n"
                        "  he: {start: 0.5, stop: 2.0, num: 2.0}\n"
                        "  hm: {start: 1.0, stop: 10.0, num: 2}\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert (manifest["config"]["seed"], manifest["config"]["samples"]) == (7, 10**6)
         assert len((out / "ergodic_grid.csv").read_text().splitlines()) == 1 + 2 * 2
+
+    def test_region_records_no_search_keys(self, tmp_path):
+        # the region solves nothing: seed, samples and rate_tol are accepted,
+        # but no default is filled in and no value recorded
+        cfg = write_config(tmp_path / "c.yaml", {
+            "scenario": "ergodic-region", "seed": 3, "samples": 10_000, "rate_tol": 0.1,
+            "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 2},
+                     "hm": {"start": 1.0, "stop": 10.0, "num": 2}}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert not {"seed", "samples", "rate_tol"} & set(config)
 
     @pytest.mark.parametrize("name", ["h_m", "h_e"])
     def test_point_mass_law_rejected(self, tmp_path, capsys, name):
@@ -323,15 +376,6 @@ class TestErgodicRegion:
         err = capsys.readouterr().err
         assert f"channels.{name}" in err and "Traceback" not in err
         assert not (out / "ergodic_grid.csv").exists()
-
-    def test_cli_flag_overrides(self, tmp_path):
-        out = tmp_path / "out"
-        code = main([
-            "--scenario", "ergodic-region", "--out-dir", str(out),
-            "--samples", "10000", "--grid-he", "0.5:2:2", "--grid-hm", "1:10:2",
-        ])
-        assert code == EXIT_OK
-        assert (out / "ergodic_grid.csv").exists()
 
 
 class TestPointEval:
