@@ -59,7 +59,7 @@ _FINITE_NONNEG = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 # required).  The top-level scalars, each value of ``alphas``, and ``point.args``.
 _KEYS = {
     "seed": (_integer, lambda v: v >= 0, ">= 0", 20240),
-    # a pilot solve holds about 60 bytes per draw: 10**8 draws take several GB
+    # a pilot solve peaks at about 60 bytes per draw: 10**8 draws take several GB
     "samples": (_integer, lambda v: 1 <= v <= 10**8, "from 1 to 10**8", 1_000_000),
     "rate_tol": (_number, lambda v: 0.0 < v < np.inf, "finite and > 0", 1e-4),
     "hz_star": (_number, *_FINITE_NONNEG, None),
@@ -145,7 +145,7 @@ class Experiment:
     config: dict
     sp: SystemParams
     dist: ChannelTriple
-    search: SearchConfig | None = None  # delay-limited-sweep and point-eval, which can solve
+    search: SearchConfig | None = None  # delay-limited-sweep and a point-eval solve
     hz_star: float | None = None  # the H_z threshold; ergodic-region and point-eval
     axes: tuple[np.ndarray, np.ndarray] | None = None  # (E[H_e], E[H_m]); ergodic-region
 
@@ -160,10 +160,10 @@ def _resolve(config: dict) -> Experiment:
         "channels": config.get("channels", _DEFAULT_CHANNELS),
         "power": config.get("power", {"p": 1.0, "p_j": 1.0}),
     }
-    search = None
-    if scenario != "ergodic-region":  # only solve() reads seed, samples and rate_tol
+    def search_config() -> SearchConfig:  # only solve() reads seed, samples and rate_tol
         out.update({key: _value(key, config) for key in ("seed", "samples", "rate_tol")})
-        search = SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
+        return SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
+
     dist = ChannelTriple(*(_parse_gain(out["channels"], name) for name in ("h_m", "h_e", "h_z")))
     sp = _build("power", lambda: SystemParams(_number(out["power"]["p"]), _number(out["power"]["p_j"])))
 
@@ -172,8 +172,8 @@ def _resolve(config: dict) -> Experiment:
         if not isinstance(alphas, list) or not alphas:
             raise ConfigError("alphas: a non-empty list is required for the sweep")
         out["alphas"] = sorted(_value("alpha", {"alpha": a}, "alphas") for a in alphas)
-        return Experiment(out, sp, dist, search)
-    axes = None
+        return Experiment(out, sp, dist, search_config())
+    axes, solver = None, None
     if scenario == "ergodic-region":
         grid = config.get("grid")
         if not isinstance(grid, dict) or "he" not in grid or "hm" not in grid:
@@ -189,6 +189,7 @@ def _resolve(config: dict) -> Experiment:
         if not isinstance(point, dict) or "op" not in point:
             raise ConfigError("point: a mapping with an 'op' key is required")
         out["point"] = point
+        solver = search_config() if point["op"] == "solve" else None
     if "hz_star" in config:
         out["hz_star"] = hz_star = _value("hz_star", config)
     else:
@@ -198,7 +199,7 @@ def _resolve(config: dict) -> Experiment:
         hz_star = float(dist.h_z.ppf(q))
     if scenario == "ergodic-region" and (dist.h_m.is_degenerate or dist.h_e.is_degenerate):
         raise ConfigError("channels.h_m, channels.h_e: ergodic-region needs both exponential")
-    return Experiment(out, sp, dist, search, hz_star, axes)
+    return Experiment(out, sp, dist, solver, hz_star, axes)
 
 
 def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str], wall_clock: float) -> None:

@@ -22,8 +22,7 @@ from .channels import ChannelTriple, GainDistribution, MonteCarlo, SampleBatch, 
 from .errors import (AlphaOutOfRange, InvalidRates, NonMonotone, PolicyRegimeMismatch,
                      UnsupportedRegime, require)
 from .phy_rates import (SystemParams, cell_mass, jam_threshold, rate_eve, rate_main_clear,
-                        rate_main_jammed, secrecy_factor, success_indicator,
-                        survival)
+                        rate_main_jammed, secrecy_factor, success_indicator, survival)
 from .policies import RatePolicy, cell_index
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -128,23 +127,24 @@ def _check_secrecy_rate(r_s: float) -> None:
         raise InvalidRates(f"secrecy rate must be finite and nonnegative, got {r_s!r}")
 
 
-def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple):
-    """P[H_m in [lo, hi) and jammed main capacity >= r], joint over H_z.
+def _cell_jam_mass(lo, hi, r, sp: SystemParams, dist: ChannelTriple, z_max=np.inf):
+    """P[H_m in [lo, hi), H_z < z_max and jammed main capacity >= r].
 
-    Closed form, broadcast over cells.  A jammed block survives iff
-    H_m >= c*(1 + p_j*H_z), c = (2^r - 1)/p.  For a fading jamming link the
-    H_z axis splits where that threshold crosses lo (z_lo) and hi (z_hi):
-    below z_lo the whole cell survives, above z_hi none of it, and between
-    them an exponential H_m tail integrates against the H_z density.
+    Closed form, broadcast over cells and ``z_max``.  A jammed block survives iff
+    H_m >= c*(1 + p_j*H_z), c = (2^r - 1)/p.  For a fading jamming link the H_z axis
+    splits where that threshold crosses lo (z_lo) and hi (z_hi), each clipped at z_max:
+    below z_lo the whole cell survives, above z_hi none of it, and between them an
+    exponential H_m tail integrates against the H_z density.
     """
-    if dist.h_z.is_degenerate or sp.p_j == 0 or sp.p == 0:
-        return cell_mass(dist.h_m, lo, hi, r, sp, dist.h_z.param)
+    if dist.h_z.is_degenerate or sp.p_j == 0 or sp.p == 0:  # one threshold for every H_z
+        below = dist.h_z.param < z_max if dist.h_z.is_degenerate else dist.h_z.cdf(z_max)
+        return cell_mass(dist.h_m, lo, hi, r, sp, dist.h_z.param) * below
     lo, hi, c = np.broadcast_arrays(lo, hi, jam_threshold(r, sp))
     if not (c < np.inf).all():  # no finite h_m carries these rates: no mass
         dead = c == np.inf
-        return np.where(dead, 0.0, _cell_jam_mass(lo, hi, np.where(dead, 0.0, r), sp, dist))
-    crossing = lambda x: np.maximum(  # a zero threshold never crosses
-        (np.divide(x, c, out=np.full(c.shape, np.inf), where=c > 0) - 1.0) / sp.p_j, 0.0)
+        return np.where(dead, 0.0, _cell_jam_mass(lo, hi, np.where(dead, 0.0, r), sp, dist, z_max))
+    crossing = lambda x: np.minimum(np.maximum(  # a zero threshold never crosses
+        (np.divide(x, c, out=np.full(c.shape, np.inf), where=c > 0) - 1.0) / sp.p_j, 0.0), z_max)
     if dist.h_m.is_degenerate:
         return cell_mass(dist.h_m, lo, hi, 0.0, sp) * dist.h_z.cdf(crossing(dist.h_m.param))
     z_lo, z_hi = crossing(lo), crossing(hi)
@@ -278,30 +278,26 @@ def optimize_policy_pilot(
 ) -> tuple[RatePolicy, float, float]:
     """Rate policy for the pilot regime; returns (policy, c_min, std_err).
 
-    The pilot adversary cannot see h_m, so the transmitter can gamble:
-    cells whose rate rides the clear (unjammed) capacity gain secrecy
-    margin but are lost whenever the adversary jams.  Starting from the
-    packet-optimal policy (whose constraint the pilot value can never
-    fall below), the fraction of low-gain cells flipped to the clear
-    capacity is tuned by a 1-D search against the re-computed pilot best
-    response on common random numbers: the search batch is keyed by
-    ``substream(seed, 1)`` and the returned value's by ``substream(seed, 2)``.
-    Each batch is drawn and indexed once (:func:`_pilot_batch`) and reused
-    across bisection steps and alphas.  The search scores its candidates by
-    :meth:`_PilotBatch.family`, built once per ``r_s``; the final batch, directly.
+    The pilot adversary cannot see h_m, so the transmitter can gamble: cells whose
+    rate rides the clear (unjammed) capacity gain secrecy margin but are lost whenever
+    the adversary jams.  Starting from the packet-optimal policy (whose constraint the
+    pilot value can never fall below), the fraction of low-gain cells flipped to the
+    clear capacity is tuned by a 1-D search that scores each candidate exactly against
+    the pilot best response (:func:`_pilot_family`).  The chosen policy is scored on one
+    Monte Carlo batch keyed by ``substream(seed, 2)``, drawn and indexed once
+    (:func:`_pilot_batch`) and reused across r_s and alphas.
     """
-    base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)  # on the batches' knots
+    # the batch is drawn before the search tables exist, so their peaks do not stack
+    batch = _pilot_batch(sp, dist, substream(cfg.seed, 2), cfg.mc_n, cfg.n_knots)
+    base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)  # on the batch's knots
     clear_lo = np.maximum(rate_main_clear(sp, base.knots_h), r_s)
-    draw = lambda key, size: _pilot_batch(sp, dist, substream(cfg.seed, key), size, cfg.n_knots)
     k_of = lambda frac: int(round(frac * clear_lo.size))
-    # both batches are drawn before the search tables exist, so their peaks do not stack
-    search, final = draw(1, max(cfg.mc_n // 5, 10_000)), draw(2, cfg.mc_n)
-    score = search.family(base, clear_lo, r_s)
-    c_min = np.vectorize(lambda f: score(k_of(f))[0], otypes=[float])
+    score = _pilot_family(base, clear_lo, r_s, sp, dist)
+    c_min = np.vectorize(lambda f: score(k_of(f)), otypes=[float])
     f_star, _ = _grid_then_golden(c_min, 0.0, 1.0, n_grid=11, tol=0.02)
     del score, c_min  # free the search tables before the final scoring
     policy = _flip(base, clear_lo, k_of(f_star))
-    return policy, *final(policy, r_s)
+    return policy, *batch(policy, r_s)
 
 
 def _flip(base: RatePolicy, clear_r: np.ndarray, k: int) -> RatePolicy:
@@ -309,11 +305,46 @@ def _flip(base: RatePolicy, clear_r: np.ndarray, k: int) -> RatePolicy:
     return RatePolicy.tabulated(base.knots_h, np.concatenate([clear_r[:k], base.knots_r[k:]]))
 
 
+def _pilot_family(base: RatePolicy, clear_r: np.ndarray, r_s: float, sp: SystemParams,
+                  dist: ChannelTriple):
+    """The exact scorer ``k -> C`` of ``_flip(base, clear_r, k)`` under
+    :func:`~secrates.adversary.best_response_pilot`: the mean of its batch score.  That
+    adversary acts on the nearest (h_e, h_z) payoff-grid points and the gains are
+    independent, so C sums over pairs of nearest-point cells: a jammed pair survives with
+    its H_z cell's jam mass, an eavesdropped one with the clear mass times its H_e cell's
+    mass below the secrecy margin.  A candidate's first k knots take the clear option's rows."""
+    grids = adv._pilot_grids(dist)  # (h_e, h_z)
+    # upper edges of the nearest-point cells, and each cell's mass
+    e_top, z_top = (np.append((g[1:] + g[:-1]) / 2.0, np.inf) for g in grids)
+    mass = lambda F: np.diff(F, axis=-1, prepend=0.0)
+    p_e, p_z = mass(F_e := dist.h_e.cdf(e_top)), mass(dist.h_z.cdf(z_top))
+
+    def tables(rates):
+        policy = RatePolicy.tabulated(base.knots_h, rates)
+        lo, hi, r = (x[:, None] for x in policy.cells())
+        jam_ok = mass(_cell_jam_mass(lo, hi, r, sp, dist, z_top))
+        eaves_ok = cell_mass(dist.h_m, lo, hi, r, sp) * mass(
+            np.minimum(F_e, secrecy_factor(r, r_s, sp, dist.h_e)))
+        return *adv.pilot_payoff_tables(policy, r_s, sp, dist, *grids), jam_ok, eaves_ok
+
+    options = tables(base.knots_r), tables(clear_r)
+    gap = options[0][0].shape[0] - base.knots_h.size  # a cell below the first knot
+
+    def score(k: int) -> float:
+        m = k + gap if k else 0  # rows on the clear option
+        jam_pay, eaves_pay, jam_ok, eaves_ok = (np.concatenate([c[:m], b[m:]]).sum(axis=0)
+                                                for b, c in zip(*options))
+        jam = jam_pay[:, None] <= eaves_pay
+        return float(np.where(jam, jam_ok[:, None] * p_e, p_z[:, None] * eaves_ok).sum())
+
+    return score
+
+
 def _compact(index: np.ndarray, size: int) -> np.ndarray:
     return index.astype(np.min_scalar_type(size - 1))  # the least dtype indexing size entries
 
 
-@functools.lru_cache(maxsize=2)  # the search batch and the final batch
+@functools.lru_cache(maxsize=1)
 def _pilot_batch(sp: SystemParams, dist: ChannelTriple, seed: int, n: int, n_knots: int):
     knots_h, _ = _packet_knots(dist.h_m, n_knots)
     return _PilotBatch(sp, dist, _draws(dist, MonteCarlo(seed, n)), knots_h)
@@ -326,7 +357,7 @@ class _PilotBatch:
     under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots."""
 
     def __init__(self, sp: SystemParams, dist: ChannelTriple, b: SampleBatch, knots_h):
-        self.sp, self.dist, self.knots_h = sp, dist, knots_h
+        self.sp, self.dist = sp, dist
         self.grids = adv._pilot_grids(dist)  # (h_e, h_z)
         self.cell = _compact(cell_index(knots_h, b.h_m), knots_h.size)
         self.ie, self.iz = (_compact(adv._nearest_index(g, x), g.size)
@@ -338,50 +369,6 @@ class _PilotBatch:
         jam = jam_pay[self.iz] <= eaves_pay[self.ie]
         ok = np.where(jam, *survival(*self.caps, policy.knots_r[self.cell], r_s, ~jam))
         return _binomial(np.count_nonzero(ok), ok.size)
-
-    @functools.cached_property
-    def bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The occupied (cell, group) bins, cell-major, a group being the pair of
-        grid points iz * len(h_e grid) + ie: the bin of each draw, the group of
-        each bin, and for k = 0 .. knots the number of bins below cell k."""
-        n_he, n_groups = self.grids[0].size, self.grids[0].size * self.grids[1].size
-        key = self.cell * np.int64(n_groups) + self.iz * np.int64(n_he) + self.ie
-        keys, bin_of = np.unique(key, return_inverse=True)
-        first = np.searchsorted(keys, np.arange(self.knots_h.size + 1) * n_groups)
-        return _compact(bin_of, keys.size), _compact(keys % n_groups, n_groups), first
-
-    def family(self, base: RatePolicy, clear_r: np.ndarray, r_s: float):
-        """The scorer ``k -> self(_flip(base, clear_r, k), r_s)``, bit for bit: both
-        options' survival bits, reduced to per-bin counts, and payoff tables are
-        built once; a candidate sums its payoff rows, and counts its survivors
-        exactly from the group totals and the bins below cell k."""
-        rates = base.knots_r, clear_r
-        try:
-            bits = [survival(*self.caps, r[self.cell], r_s) for r in rates]
-        except InvalidRates:  # some draw breaks secrecy if eavesdropped: score it directly
-            return lambda k: self(_flip(base, clear_r, k), r_s)
-        bin_of, group, first = self.bins
-        (jam_b, eaves_b), (jam_c, eaves_c) = (
-            [np.bincount(bin_of, x, group.size) for x in pair] for pair in bits)
-        eaves_total = eaves_b.sum()
-        jam_gain = np.bincount(group, jam_b - eaves_b, self.grids[0].size * self.grids[1].size)
-        eaves_flip = np.concatenate([[0.0], np.cumsum(eaves_c - eaves_b)])
-        jam_flip = (jam_c - eaves_c) - (jam_b - eaves_b)
-        tables = [adv.pilot_payoff_tables(RatePolicy.tabulated(base.knots_h, r), r_s, self.sp,
-                                          self.dist, *self.grids) for r in rates]
-        gap = tables[0][0].shape[0] - base.knots_h.size  # a cell below the first knot
-
-        def score(k: int) -> tuple[float, float]:
-            m = k + gap if k else 0  # payoff rows on the clear option
-            jam_pay, eaves_pay = (np.concatenate([c[:m], b[m:]]).sum(axis=0)
-                                  for b, c in zip(*tables))
-            jam = (jam_pay[:, None] <= eaves_pay).ravel()
-            p = first[k]
-            n_ok = (eaves_total + jam_gain[jam].sum()
-                    + eaves_flip[p] + jam_flip[:p][jam[group[:p]]].sum())
-            return _binomial(n_ok, bin_of.size)
-
-        return score
 
 
 def _best_constant_nocsi(
@@ -412,11 +399,11 @@ def solve(
 ) -> SecrecySolution:
     """Maximal secrecy rate whose best-response constraint stays >= alpha.
 
-    No-CSI and packet feedback use their closed forms; pilot feedback
-    evaluates the packet-optimal policy family against the pilot
-    best-response adversary by Monte Carlo (a lower bound on the pilot
-    optimum, realizing the feasible-set inclusion behind the regime
-    ordering).  Common random numbers are reused across bisection points.
+    No-CSI and packet feedback use their closed forms.  Pilot feedback searches
+    a family built on the packet-optimal policy exactly against the pilot
+    best-response adversary, and reports the chosen policy's value by Monte Carlo
+    (a lower bound on the pilot optimum, realizing the feasible-set inclusion
+    behind the regime ordering), on one batch reused across bisection points.
     """
     cfg = cfg or SearchConfig()
     if not (0.0 < alpha <= 1.0):

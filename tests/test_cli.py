@@ -23,6 +23,8 @@ FAST_CHANNELS = {
     "h_e": {"kind": "deterministic", "value": 0.0},
     "h_z": {"kind": "deterministic", "value": 1.0},
 }
+# the one point-eval op that reads seed, samples and rate_tol
+SOLVE = {"op": "solve", "args": {"regime": "no_csi", "alpha": 0.5}}
 
 
 def write_config(path, data):
@@ -93,7 +95,7 @@ class TestConfigErrors:
         ({"point": {"op": "c_min_closed_form",
                     "args": {"regime": "pilot_feedback", "R": 1.0, "r_s": 0.5}}},
          "point.args.regime"),
-        ({"samples": "lots"}, "samples"),
+        ({"samples": "lots", "point": SOLVE}, "samples"),
         ({"point": {"op": "cdf"}}, "point.args.x"),
         ({"point": {"op": "solve", "args": {"regime": "no_csi"}}}, "point.args.alpha"),
         ({"point": {"op": "c_min_closed_form", "args": {"R": -1.0, "r_s": 0.5}}},
@@ -107,21 +109,22 @@ class TestConfigErrors:
         ({"scenario": "ergodic-region",
           "grid": {"he": {"start": 1.0, "stop": 1.0, "num": 2},
                    "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
-        ({"rate_tol": 0}, "rate_tol"),
-        ({"rate_tol": -1}, "rate_tol"),
-        ({"rate_tol": math.nan}, "rate_tol"),
-        ({"seed": -1}, "seed"),
+        ({"rate_tol": 0, "point": SOLVE}, "rate_tol"),
+        ({"rate_tol": -1, "point": SOLVE}, "rate_tol"),
+        ({"rate_tol": math.nan, "point": SOLVE}, "rate_tol"),
+        ({"seed": -1, "point": SOLVE}, "seed"),
         *(({"point": {"op": "c_min_closed_form", "args": {"R": 1.0, "r_s": bad}}},
            "point.args.r_s") for bad in (math.nan, math.inf, -1.0)),
         *(({"hz_quantile": bad}, "hz_quantile") for bad in (math.nan, 0.0, 1.0, None)),
         # a count that is not a whole number used to be truncated silently
-        ({"seed": 1.9}, "seed"),
-        ({"samples": 2.5}, "samples"),
+        ({"seed": 1.9, "point": SOLVE}, "seed"),
+        ({"samples": 2.5, "point": SOLVE}, "samples"),
         ({"scenario": "ergodic-region",
           "grid": {"he": {"start": 1.0, "stop": 2.0, "num": 2.5},
                    "hm": {"start": 1.0, "stop": 2.0, "num": 2}}}, "grid.he"),
         # YAML's true is an int in Python, and used to run as 1
-        *(({key: True}, key) for key in ("seed", "samples", "rate_tol", "hz_star")),
+        *(({key: True, "point": SOLVE}, key) for key in ("seed", "samples", "rate_tol")),
+        ({"hz_star": True}, "hz_star"),
         ({"point": {"op": "cdf", "args": {"x": True}}}, "point.args.x"),
         ({"point": {"op": "solve", "args": {"alpha": True}}}, "point.args.alpha"),
         ({"point": {"op": "c_min_closed_form", "args": {"R": True, "r_s": 0.5}}},
@@ -193,10 +196,18 @@ class TestConfigErrors:
 
     def test_samples_bound(self):
         # one draw past the bound is a ConfigError naming the key; nothing is allocated
-        config = {"scenario": "point-eval", "point": {"op": "cdf", "args": {"x": 1.0}}}
+        config = {"scenario": "point-eval", "point": SOLVE}
         with pytest.raises(ConfigError, match="samples"):
             _resolve({**config, "samples": 10**8 + 1})
         assert _resolve({**config, "samples": 10**8}).search.mc_n == 10**8
+
+    def test_samples_unread_without_a_solve(self, tmp_path, capsys):
+        # a cdf draws nothing, so samples past the bound do not concern it
+        cfg = write_config(tmp_path / "c.yaml", {
+            "scenario": "point-eval", "samples": 10**15, "channels": FAST_CHANNELS,
+            "point": {"op": "cdf", "args": {"channel": "h_m", "x": 5.0}}})
+        assert main(["--config", str(cfg)]) == EXIT_OK
+        assert "cdf[h_m](5.0) = 1.0" in capsys.readouterr().out
 
     def test_oversized_grid(self, tmp_path, capsys):
         # 10**15 grid points are refused by the grid-size bound, before any allocation
@@ -337,7 +348,7 @@ class TestErgodicRegion:
     def test_integral_float_counts(self, tmp_path):
         # whole numbers written as floats (PyYAML reads 1.0e6 as a string) are counts
         point = yaml.safe_load("scenario: point-eval\nseed: 7.0\nsamples: 1.0e6\n"
-                               "point: {op: cdf, args: {x: 1.0}}\n")
+                               "point: {op: solve, args: {alpha: 0.5}}\n")
         config = _resolve(point).config  # the config a manifest records
         assert (config["seed"], config["samples"]) == (7, 10**6)
         cfg = tmp_path / "c.yaml"
