@@ -119,18 +119,13 @@ def pilot_payoffs(policy: RatePolicy, r_s: float, sp: SystemParams, dist: Channe
     return tuple(t.sum(axis=0) for t in pilot_payoff_tables(policy, r_s, sp, dist, h_e, h_z))
 
 
-def _pilot_grids(dist: ChannelTriple) -> tuple[np.ndarray, np.ndarray]:
-    """200-point quantile-mapped (h_e, h_z) pilot payoff grids; one point per non-fading link."""
-    axis = lambda d: (np.array([d.param]) if d.is_degenerate
-                      else d.ppf((np.arange(200) + 0.5) / 200))
-    return axis(dist.h_e), axis(dist.h_z)
-
-
-def _nearest_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if grid.size == 1:
-        return np.zeros(x.shape, dtype=int)
-    i = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
-    return np.where(x - grid[i - 1] <= grid[i] - x, i - 1, i)
+def _pilot_grids(dist: ChannelTriple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The pilot payoff grid of each observed link, (h_e, h_z): its 200 quantile-mapped
+    points (one for a non-fading link) and the upper edges of their nearest-point cells.
+    ``np.searchsorted(edges, x)`` is the point nearest x, a tie going to the lower one."""
+    grids = (np.array([d.param]) if d.is_degenerate else d.ppf((np.arange(200) + 0.5) / 200)
+             for d in (dist.h_e, dist.h_z))
+    return tuple((g, np.append((g[1:] + g[:-1]) / 2.0, np.inf)) for g in grids)
 
 
 def best_response_pilot(
@@ -143,18 +138,16 @@ def best_response_pilot(
 
     For each observed pair the adversary picks the action with the smaller
     conditional success probability over the unobserved H_m; ties break
-    toward jamming.  Payoffs are precomputed on quantile-mapped grids of
-    the two observables (each collapsing to a point for non-fading links)
-    and looked up by nearest neighbor, since the rule is evaluated inside
-    optimizer and Monte Carlo loops.
+    toward jamming.  Payoffs are precomputed on quantile-mapped grids of the
+    two observables (each collapsing to a point for non-fading links), and an
+    observation takes its nearest grid point's (:func:`_pilot_grids`), since
+    the rule is evaluated inside optimizer and Monte Carlo loops.
     """
-    he_grid, hz_grid = _pilot_grids(dist)
+    (he_grid, he_top), (hz_grid, hz_top) = _pilot_grids(dist)
     jam_pay, eaves_pay = pilot_payoffs(policy, r_s, sp, dist, he_grid, hz_grid)
 
     def decide(h_m, h_e, h_z):
-        ie = _nearest_index(he_grid, h_e)
-        iz = _nearest_index(hz_grid, h_z)
-        return jam_pay[iz] <= eaves_pay[ie]
+        return jam_pay[np.searchsorted(hz_top, h_z)] <= eaves_pay[np.searchsorted(he_top, h_e)]
 
     return JammingRule(CsiRegime.PILOT_FEEDBACK, decide)
 

@@ -160,9 +160,12 @@ def _resolve(config: dict) -> Experiment:
         "channels": config.get("channels", _DEFAULT_CHANNELS),
         "power": config.get("power", {"p": 1.0, "p_j": 1.0}),
     }
-    def search_config() -> SearchConfig:  # only solve() reads seed, samples and rate_tol
-        out.update({key: _value(key, config) for key in ("seed", "samples", "rate_tol")})
-        return SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
+    def search_config(draws: bool = True) -> SearchConfig:
+        # solve() reads rate_tol, and seed and samples only for the batch a pilot solve draws
+        keys = ("seed", "samples", "rate_tol") if draws else ("rate_tol",)
+        out.update({key: _value(key, config) for key in keys})
+        drawn = {"seed": out["seed"], "mc_n": out["samples"]} if draws else {}
+        return SearchConfig(rate_tol=out["rate_tol"], **drawn)
 
     dist = ChannelTriple(*(_parse_gain(out["channels"], name) for name in ("h_m", "h_e", "h_z")))
     sp = _build("power", lambda: SystemParams(_number(out["power"]["p"]), _number(out["power"]["p_j"])))
@@ -189,7 +192,10 @@ def _resolve(config: dict) -> Experiment:
         if not isinstance(point, dict) or "op" not in point:
             raise ConfigError("point: a mapping with an 'op' key is required")
         out["point"] = point
-        solver = search_config() if point["op"] == "solve" else None
+        if point["op"] == "solve":
+            args = point.get("args") or {}  # run_point_eval names a malformed one
+            solver = search_config(isinstance(args, dict) and _value(
+                "regime", args, "point.args.regime") is CsiRegime.PILOT_FEEDBACK)
     if "hz_star" in config:
         out["hz_star"] = hz_star = _value("hz_star", config)
     else:

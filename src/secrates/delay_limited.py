@@ -283,9 +283,10 @@ def optimize_policy_pilot(
     the adversary jams.  Starting from the packet-optimal policy (whose constraint the
     pilot value can never fall below), the fraction of low-gain cells flipped to the
     clear capacity is tuned by a 1-D search that scores each candidate exactly against
-    the pilot best response (:func:`_pilot_family`).  The chosen policy is scored on one
-    Monte Carlo batch keyed by ``substream(seed, 2)``, drawn and indexed once
-    (:func:`_pilot_batch`) and reused across r_s and alphas.
+    the pilot best response (:func:`_pilot_family`).  The chosen policy, with the jam
+    decision table its exact score built, is scored on one Monte Carlo batch keyed by
+    ``substream(seed, 2)``, drawn and indexed once (:func:`_pilot_batch`) and reused
+    across r_s and alphas.
     """
     # the batch is drawn before the search tables exist, so their peaks do not stack
     batch = _pilot_batch(sp, dist, substream(cfg.seed, 2), cfg.mc_n, cfg.n_knots)
@@ -293,11 +294,12 @@ def optimize_policy_pilot(
     clear_lo = np.maximum(rate_main_clear(sp, base.knots_h), r_s)
     k_of = lambda frac: int(round(frac * clear_lo.size))
     score = _pilot_family(base, clear_lo, r_s, sp, dist)
-    c_min = np.vectorize(lambda f: score(k_of(f)), otypes=[float])
+    c_min = np.vectorize(lambda f: score(k_of(f))[0], otypes=[float])
     f_star, _ = _grid_then_golden(c_min, 0.0, 1.0, n_grid=11, tol=0.02)
+    _, jam = score(k := k_of(f_star))
     del score, c_min  # free the search tables before the final scoring
-    policy = _flip(base, clear_lo, k_of(f_star))
-    return policy, *batch(policy, r_s)
+    policy = _flip(base, clear_lo, k)
+    return policy, *batch(policy.knots_r, jam, r_s)
 
 
 def _flip(base: RatePolicy, clear_r: np.ndarray, k: int) -> RatePolicy:
@@ -307,16 +309,15 @@ def _flip(base: RatePolicy, clear_r: np.ndarray, k: int) -> RatePolicy:
 
 def _pilot_family(base: RatePolicy, clear_r: np.ndarray, r_s: float, sp: SystemParams,
                   dist: ChannelTriple):
-    """The exact scorer ``k -> C`` of ``_flip(base, clear_r, k)`` under
-    :func:`~secrates.adversary.best_response_pilot`: the mean of its batch score.  That
-    adversary acts on the nearest (h_e, h_z) payoff-grid points and the gains are
-    independent, so C sums over pairs of nearest-point cells: a jammed pair survives with
-    its H_z cell's jam mass, an eavesdropped one with the clear mass times its H_e cell's
-    mass below the secrecy margin.  A candidate's first k knots take the clear option's rows."""
-    grids = adv._pilot_grids(dist)  # (h_e, h_z)
-    # upper edges of the nearest-point cells, and each cell's mass
-    e_top, z_top = (np.append((g[1:] + g[:-1]) / 2.0, np.inf) for g in grids)
-    mass = lambda F: np.diff(F, axis=-1, prepend=0.0)
+    """The exact scorer ``k -> (C, jam)`` of ``_flip(base, clear_r, k)`` under
+    :func:`~secrates.adversary.best_response_pilot`: C is the mean of its batch score and
+    ``jam`` that rule's decision table (H_z cell x H_e cell).  The adversary acts on the
+    nearest (h_e, h_z) payoff-grid points and the gains are independent, so C sums over
+    pairs of nearest-point cells: a jammed pair survives with its H_z cell's jam mass, an
+    eavesdropped one with the clear mass times its H_e cell's mass below the secrecy
+    margin.  A candidate's first k knots take the clear option's rows."""
+    (he_grid, e_top), (hz_grid, z_top) = adv._pilot_grids(dist)
+    mass = lambda F: np.diff(F, axis=-1, prepend=0.0)  # per cell, from F at the upper edges
     p_e, p_z = mass(F_e := dist.h_e.cdf(e_top)), mass(dist.h_z.cdf(z_top))
 
     def tables(rates):
@@ -325,17 +326,17 @@ def _pilot_family(base: RatePolicy, clear_r: np.ndarray, r_s: float, sp: SystemP
         jam_ok = mass(_cell_jam_mass(lo, hi, r, sp, dist, z_top))
         eaves_ok = cell_mass(dist.h_m, lo, hi, r, sp) * mass(
             np.minimum(F_e, secrecy_factor(r, r_s, sp, dist.h_e)))
-        return *adv.pilot_payoff_tables(policy, r_s, sp, dist, *grids), jam_ok, eaves_ok
+        return *adv.pilot_payoff_tables(policy, r_s, sp, dist, he_grid, hz_grid), jam_ok, eaves_ok
 
     options = tables(base.knots_r), tables(clear_r)
     gap = options[0][0].shape[0] - base.knots_h.size  # a cell below the first knot
 
-    def score(k: int) -> float:
+    def score(k: int) -> tuple[float, np.ndarray]:
         m = k + gap if k else 0  # rows on the clear option
         jam_pay, eaves_pay, jam_ok, eaves_ok = (np.concatenate([c[:m], b[m:]]).sum(axis=0)
                                                 for b, c in zip(*options))
         jam = jam_pay[:, None] <= eaves_pay
-        return float(np.where(jam, jam_ok[:, None] * p_e, p_z[:, None] * eaves_ok).sum())
+        return float(np.where(jam, jam_ok[:, None] * p_e, p_z[:, None] * eaves_ok).sum()), jam
 
     return score
 
@@ -351,23 +352,21 @@ def _pilot_batch(sp: SystemParams, dist: ChannelTriple, seed: int, n: int, n_kno
 
 
 class _PilotBatch:
-    """A pilot batch indexed once: per draw the packet-knot cell of h_m, the nearest
-    payoff-grid points of h_e and h_z and the three capacities, not the draws.
-    ``batch(policy, r_s)`` is the ``(c_min, std_err)`` of :func:`evaluate_constraint`
-    under :func:`~secrates.adversary.best_response_pilot` for a policy on those knots."""
+    """A pilot batch indexed once: per draw the packet-knot cell of h_m, the nearest-point
+    cells of h_e and h_z and the three capacities, not the draws.  ``batch(rates, jam, r_s)``
+    is :func:`evaluate_constraint`'s ``(c_min, std_err)`` for the policy of ``rates`` on those
+    knots under the pilot rule whose decision table (H_z cell x H_e cell) is ``jam``."""
 
     def __init__(self, sp: SystemParams, dist: ChannelTriple, b: SampleBatch, knots_h):
-        self.sp, self.dist = sp, dist
-        self.grids = adv._pilot_grids(dist)  # (h_e, h_z)
+        (_, e_top), (_, z_top) = adv._pilot_grids(dist)
         self.cell = _compact(cell_index(knots_h, b.h_m), knots_h.size)
-        self.ie, self.iz = (_compact(adv._nearest_index(g, x), g.size)
-                            for g, x in zip(self.grids, (b.h_e, b.h_z)))
+        self.ie, self.iz = (_compact(np.searchsorted(top, x), top.size)
+                            for top, x in ((e_top, b.h_e), (z_top, b.h_z)))
         self.caps = rate_main_jammed(sp, b.h_m, b.h_z), rate_eve(sp, b.h_e), rate_main_clear(sp, b.h_m)
 
-    def __call__(self, policy: RatePolicy, r_s: float) -> tuple[float, float]:
-        jam_pay, eaves_pay = adv.pilot_payoffs(policy, r_s, self.sp, self.dist, *self.grids)
-        jam = jam_pay[self.iz] <= eaves_pay[self.ie]
-        ok = np.where(jam, *survival(*self.caps, policy.knots_r[self.cell], r_s, ~jam))
+    def __call__(self, rates: np.ndarray, jam: np.ndarray, r_s: float) -> tuple[float, float]:
+        jammed = jam[self.iz, self.ie]
+        ok = np.where(jammed, *survival(*self.caps, rates[self.cell], r_s, ~jammed))
         return _binomial(np.count_nonzero(ok), ok.size)
 
 
@@ -403,57 +402,34 @@ def solve(
     a family built on the packet-optimal policy exactly against the pilot
     best-response adversary, and reports the chosen policy's value by Monte Carlo
     (a lower bound on the pilot optimum, realizing the feasible-set inclusion
-    behind the regime ordering), on one batch reused across bisection points.
+    behind the regime ordering), on one batch reused across bisection points.  Each r_s
+    visited is evaluated once; the answer is the record of the largest feasible one.
     """
     cfg = cfg or SearchConfig()
     if not (0.0 < alpha <= 1.0):
         raise AlphaOutOfRange("alpha must lie in (0, 1]")
+    evaluate = {  # r_s -> (policy, c_min, std_err)
+        CsiRegime.NO_CSI: lambda r: (*_best_constant_nocsi(r, sp, dist), 0.0),
+        CsiRegime.PACKET_FEEDBACK: lambda r: (*optimize_policy_packet(r, sp, dist, cfg.n_knots), 0.0),
+        CsiRegime.PILOT_FEEDBACK: lambda r: optimize_policy_pilot(r, sp, dist, cfg),
+    }[regime]
+    history: dict[float, tuple[RatePolicy, float, float]] = {}
 
-    def cmin(r_s: float) -> tuple[float, float, RatePolicy]:
-        if regime is CsiRegime.NO_CSI:
-            policy, c = _best_constant_nocsi(r_s, sp, dist)
-            return c, 0.0, policy
-        if regime is CsiRegime.PACKET_FEEDBACK:
-            policy, c = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)
-            return c, 0.0, policy
-        policy, c, se = optimize_policy_pilot(r_s, sp, dist, cfg)
-        return c, se, policy
+    def feasible(r_s: float) -> bool:
+        history[r_s] = evaluate(r_s)
+        return history[r_s][1] >= alpha
 
-    history: list[tuple[float, float, float]] = []
-
-    def feasible_at(r_s: float) -> tuple[bool, float, float, RatePolicy]:
-        c, se, policy = cmin(r_s)
-        history.append((r_s, c, se))
-        return c >= alpha, c, se, policy
-
-    ok0, c0, se0, policy0 = feasible_at(0.0)
-    if not ok0:
-        report = FeasibilityReport(c0, se0, False)
-        return SecrecySolution(0.0, policy0, report)
-
-    lo, lo_state = 0.0, (c0, se0, policy0)
-    hi = 1.0
-    while hi <= _R_CAP:
-        ok, c, se, policy = feasible_at(hi)
-        if not ok:
-            break
-        lo, lo_state = hi, (c, se, policy)
-        hi *= 2.0
-    else:
-        hi = _R_CAP  # feasible everywhere we are willing to search
-
-    # a rate_tol below the float spacing ends once no double lies between lo and hi
-    while hi - lo > cfg.rate_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        ok, c, se, policy = feasible_at(mid)
-        if ok:
-            lo, lo_state = mid, (c, se, policy)
-        else:
-            hi = mid
-
-    _assert_monotone(history)
-    c, se, policy = lo_state
-    report = FeasibilityReport(c, se, True)
-    return SecrecySolution(lo, policy, report)
+    lo, hi = 0.0, 1.0
+    if feasible(lo):
+        while hi <= _R_CAP and feasible(hi):
+            lo, hi = hi, 2.0 * hi
+        hi = min(hi, _R_CAP)  # past _R_CAP only if feasible everywhere we search
+        # a rate_tol below the float spacing ends once no double lies between lo and hi
+        while hi - lo > cfg.rate_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    _assert_monotone([(r, c, se) for r, (_, c, se) in history.items()])
+    policy, c, se = history[lo]
+    return SecrecySolution(lo, policy, FeasibilityReport(c, se, c >= alpha))
 
 
 def _assert_monotone(history: list[tuple[float, float, float]]):

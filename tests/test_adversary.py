@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from secrates import adversary
 from secrates import ChannelTriple, GainDistribution, MonteCarlo, RatePolicy, SystemParams
 from secrates.adversary import (
     CsiRegime,
@@ -79,6 +81,35 @@ class TestPacketBestResponse:
         rep = evaluate_constraint(CsiRegime.PACKET_FEEDBACK, policy, 0.1, sp, dist, rule)
         closed = c_min_closed_form(CsiRegime.PACKET_FEEDBACK, policy, 0.1, sp, dist)
         assert rep.c_min == closed == 0.0
+
+
+class TestPilotGridCells:
+    """The one nearest-point rule of the pilot grids: ``searchsorted`` on the cell edges."""
+
+    @staticmethod
+    def brute_force(g, x):
+        return np.argmin(np.abs(x[:, None] - g[None, :]), axis=1)  # a tie takes the lower point
+
+    @pytest.mark.parametrize("link", [GainDistribution.exponential(1.0),
+                                      GainDistribution.deterministic(0.7)])
+    def test_edges_pick_the_nearest_point(self, link):
+        (g, top), _ = adversary._pilot_grids(ChannelTriple(link, link, link))
+        x = np.concatenate([np.random.default_rng(4).exponential(1.0, 10_000), g, [0.0]])
+        assert np.array_equal(np.searchsorted(top, x), self.brute_force(g, x))
+
+    def test_float_midpoints_go_to_the_lower_point(self):
+        link = GainDistribution.exponential(1.0)
+        (g, top), _ = adversary._pilot_grids(ChannelTriple(link, link, link))
+        mid, i = (g[1:] + g[:-1]) / 2.0, np.arange(g.size - 1)
+        assert np.array_equal(np.searchsorted(top, mid), i)
+        for side, j in ((-np.inf, i), (np.inf, i + 1)):  # the doubles either side
+            x = np.nextafter(mid, side)
+            assert np.array_equal(np.searchsorted(top, x), j)
+            assert np.array_equal(self.brute_force(g, x), j)
+        # where the float midpoint is the exact one it is a tie, and the lower point wins
+        tie = np.array([2 * Fraction(m) == Fraction(a) + Fraction(b)
+                        for m, a, b in zip(mid, g[:-1], g[1:])])
+        assert tie.any() and np.array_equal(self.brute_force(g, mid[tie]), i[tie])
 
 
 class TestPilotBestResponse:

@@ -23,8 +23,8 @@ FAST_CHANNELS = {
     "h_e": {"kind": "deterministic", "value": 0.0},
     "h_z": {"kind": "deterministic", "value": 1.0},
 }
-# the one point-eval op that reads seed, samples and rate_tol
-SOLVE = {"op": "solve", "args": {"regime": "no_csi", "alpha": 0.5}}
+# the one point-eval op that reads seed and samples as well as rate_tol: a pilot solve
+SOLVE = {"op": "solve", "args": {"regime": "pilot_feedback", "alpha": 0.5}}
 
 
 def write_config(path, data):
@@ -209,6 +209,16 @@ class TestConfigErrors:
         assert main(["--config", str(cfg)]) == EXIT_OK
         assert "cdf[h_m](5.0) = 1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("regime", ["no_csi", "packet_feedback"])
+    def test_samples_unread_by_a_closed_form_solve(self, tmp_path, capsys, regime):
+        # only a pilot solve draws: the other regimes neither check nor record seed and samples
+        config = {"scenario": "point-eval", "samples": 10**15, "seed": -1,
+                  "point": {"op": "solve", "args": {"regime": regime, "alpha": 0.5}}}
+        assert not {"seed", "samples"} & set(_resolve(config).config)
+        cfg = write_config(tmp_path / "c.yaml", {**config, "channels": FAST_CHANNELS})
+        assert main(["--config", str(cfg)]) == EXIT_OK
+        assert f"solve[{regime}](alpha=0.5)" in capsys.readouterr().out
+
     def test_oversized_grid(self, tmp_path, capsys):
         # 10**15 grid points are refused by the grid-size bound, before any allocation
         cfg = write_config(tmp_path / "c.yaml", {
@@ -348,7 +358,7 @@ class TestErgodicRegion:
     def test_integral_float_counts(self, tmp_path):
         # whole numbers written as floats (PyYAML reads 1.0e6 as a string) are counts
         point = yaml.safe_load("scenario: point-eval\nseed: 7.0\nsamples: 1.0e6\n"
-                               "point: {op: solve, args: {alpha: 0.5}}\n")
+                               "point: {op: solve, args: {regime: pilot_feedback, alpha: 0.5}}\n")
         config = _resolve(point).config  # the config a manifest records
         assert (config["seed"], config["samples"]) == (7, 10**6)
         cfg = tmp_path / "c.yaml"

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from secrates import ChannelTriple, GainDistribution, MonteCarlo, RatePolicy, SystemParams
-from secrates import channels, delay_limited
+from secrates import adversary, channels, delay_limited
 from secrates.adversary import CsiRegime, JammingRule, best_response, best_response_pilot
 from secrates.delay_limited import (
     SearchConfig,
@@ -378,6 +378,25 @@ class TestPilotPolicy:
             solve(CsiRegime.PILOT_FEEDBACK, sp, dist, alpha, cfg)
         assert len(draws) == n_draws
 
+    def test_solve_computes_no_grid_payoffs(self, monkeypatch, paper_delay_setup):
+        # the final scoring reuses the search's decision table: no payoffs are recomputed
+        calls, payoffs = [], adversary.pilot_payoffs
+
+        def counting_payoffs(*args):
+            calls.append(args)
+            return payoffs(*args)
+
+        monkeypatch.setattr(adversary, "pilot_payoffs", counting_payoffs)
+        sp, dist = paper_delay_setup
+        solve(CsiRegime.PILOT_FEEDBACK, sp, dist, 0.5, SearchConfig(mc_n=20_000, rate_tol=1e-2))
+        assert calls == []
+
+
+def decision_table(rule, dist):
+    """A pilot rule's jam decisions at every pair of payoff-grid points (h_z x h_e)."""
+    (he_grid, _), (hz_grid, _) = adversary._pilot_grids(dist)
+    return rule.decide(0.0, he_grid[None, :], hz_grid[:, None])
+
 
 class TestPilotBatchMatchesOracle:
     """The cached pilot scorer against evaluate_constraint + best_response_pilot."""
@@ -385,7 +404,8 @@ class TestPilotBatchMatchesOracle:
     SEED, N, N_KNOTS = 5, 20_000, 64
 
     def fast(self, policy, r_s, sp, dist):
-        return _pilot_batch(sp, dist, self.SEED, self.N, self.N_KNOTS)(policy, r_s)
+        jam = decision_table(best_response_pilot(policy, r_s, sp, dist), dist)
+        return _pilot_batch(sp, dist, self.SEED, self.N, self.N_KNOTS)(policy.knots_r, jam, r_s)
 
     def oracle(self, policy, r_s, sp, dist):
         rule = best_response_pilot(policy, r_s, sp, dist)
@@ -442,8 +462,8 @@ class TestExactPilotScore:
         for k in sorted({round(f * base.knots_h.size) for f in (0.0, 0.25, 0.5, 0.75, 1.0)}):
             policy = _flip(base, clear_r, k)
             rule = best_response_pilot(policy, r_s, sp, dist)
-            yield k, score(k), evaluate_constraint(CsiRegime.PILOT_FEEDBACK, policy, r_s, sp,
-                                                   dist, rule, MonteCarlo(seed=7, n=n))
+            yield k, score(k)[0], evaluate_constraint(CsiRegime.PILOT_FEEDBACK, policy, r_s, sp,
+                                                      dist, rule, MonteCarlo(seed=7, n=n))
 
     @pytest.mark.parametrize("dist, r_s", [
         (ChannelTriple(E(10.0), E(1.0), D(1.0)), 0.8),
@@ -463,6 +483,21 @@ class TestExactPilotScore:
         # one realization: the exact score is the oracle's, bit for bit
         for k, exact, rep in self.scores(SystemParams(1.0, 1.0), det_triple(*gains), 0.2, 1):
             assert (exact, rep.std_err) == (rep.c_min, 0.0), k
+
+    @pytest.mark.parametrize("h_z", [D(1.0), E(1.0)])
+    def test_decision_table_is_the_rule_at_grid_points(self, h_z):
+        # the table the final scoring reuses is best_response_pilot's rule, bit for bit
+        sp, dist, r_s = SystemParams(1.0, 1.0), ChannelTriple(E(10.0), E(1.0), h_z), 0.8
+        base, _ = optimize_policy_packet(r_s, sp, dist, self.N_KNOTS)
+        clear_r = np.maximum(np.log2(1.0 + sp.p * base.knots_h), r_s)
+        score = _pilot_family(base, clear_r, r_s, sp, dist)
+        tables = []
+        for k in range(base.knots_h.size + 1):
+            rule = best_response_pilot(_flip(base, clear_r, k), r_s, sp, dist)
+            _, jam = score(k)
+            assert np.array_equal(jam, decision_table(rule, dist)), k
+            tables.append(jam.tobytes())
+        assert len(set(tables)) > 1  # the candidates' rules differ
 
 
 class TestSolve:
