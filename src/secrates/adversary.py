@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import ChannelTriple
-from .errors import InvalidRates, PolicyRegimeMismatch
+from .errors import InvalidRates, PolicyRegimeMismatch, require
 from .phy_rates import SystemParams, cell_mass, rate_eve, rate_main_clear
 from .policies import RatePolicy
 
@@ -41,17 +41,18 @@ class JammingRule:
     ``decide`` is vectorized over gain arrays and returns a boolean array,
     True meaning Jam.  By construction the decision function closes only
     over the observables of its regime; gains outside that set are
-    accepted but ignored.
+    ignored.  Each gain must be finite and >= 0, else ``InvalidInput``
+    names it.
     """
 
     regime: CsiRegime
     _decide: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
     def decide(self, h_m, h_e, h_z):
-        h_m, h_e, h_z = np.broadcast_arrays(
-            np.asarray(h_m, float), np.asarray(h_e, float), np.asarray(h_z, float)
-        )
-        out = np.asarray(self._decide(h_m, h_e, h_z))
+        gains = np.broadcast_arrays(*(np.asarray(h, float) for h in (h_m, h_e, h_z)))
+        for name, h in zip(("h_m", "h_e", "h_z"), gains):
+            require(np.all((h >= 0) & (h < np.inf)), name, "finite and >= 0")
+        out = np.asarray(self._decide(*gains))
         return out if out.ndim else bool(out)
 
 

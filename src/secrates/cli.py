@@ -160,12 +160,12 @@ def _resolve(config: dict) -> Experiment:
         "channels": config.get("channels", _DEFAULT_CHANNELS),
         "power": config.get("power", {"p": 1.0, "p_j": 1.0}),
     }
-    def search_config(draws: bool = True) -> SearchConfig:
-        # solve() reads rate_tol, and seed and samples only for the batch a pilot solve draws
-        keys = ("seed", "samples", "rate_tol") if draws else ("rate_tol",)
-        out.update({key: _value(key, config) for key in keys})
-        drawn = {"seed": out["seed"], "mc_n": out["samples"]} if draws else {}
-        return SearchConfig(rate_tol=out["rate_tol"], **drawn)
+    def search_config(pilot: bool = True) -> SearchConfig:
+        # solve() reads seed, samples and rate_tol only for a pilot solve's batch and bisection
+        if not pilot:
+            return SearchConfig()
+        out.update({key: _value(key, config) for key in ("seed", "samples", "rate_tol")})
+        return SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
 
     dist = ChannelTriple(*(_parse_gain(out["channels"], name) for name in ("h_m", "h_e", "h_z")))
     sp = _build("power", lambda: SystemParams(_number(out["power"]["p"]), _number(out["power"]["p_j"])))

@@ -4,8 +4,9 @@ The long-run fraction of blocks that survive both connection and secrecy
 outage, evaluated at the adversary's best response, must stay above a
 threshold ``alpha``.  The transmitter maximizes the secrecy rate subject
 to that constraint; the constraint value shrinks as the secrecy rate
-grows (holding the optimized policy class fixed), so the outer search is
-a bisection.
+grows (holding the optimized policy class fixed), so the answer is the
+right end of a bracketed root search: Illinois regula falsi where the
+constraint is exact, bisection where it is a Monte Carlo estimate.
 """
 
 from __future__ import annotations
@@ -402,8 +403,15 @@ def solve(
     a family built on the packet-optimal policy exactly against the pilot
     best-response adversary, and reports the chosen policy's value by Monte Carlo
     (a lower bound on the pilot optimum, realizing the feasible-set inclusion
-    behind the regime ordering), on one batch reused across bisection points.  Each r_s
-    visited is evaluated once; the answer is the record of the largest feasible one.
+    behind the regime ordering), on one batch reused across bisection points.
+
+    Doubling r_s brackets the answer, C(lo) >= alpha > C(hi).  For the exact
+    regimes an Illinois regula falsi step on C - alpha (Dowell & Jarratt 1971)
+    narrows it to 1e-12 relative, so the answer is sup{r_s : C(r_s) >= alpha}, the
+    jump itself where a point-mass link makes C a step function; a step that lands
+    on a flat piece of C is followed by a midpoint.  The pilot bisects to
+    ``cfg.rate_tol``.  Each r_s visited is evaluated once; the answer is the record
+    of the largest feasible one, lo.
     """
     cfg = cfg or SearchConfig()
     if not (0.0 < alpha <= 1.0):
@@ -424,9 +432,21 @@ def solve(
         while hi <= _R_CAP and feasible(hi):
             lo, hi = hi, 2.0 * hi
         hi = min(hi, _R_CAP)  # past _R_CAP only if feasible everywhere we search
-        # a rate_tol below the float spacing ends once no double lies between lo and hi
-        while hi - lo > cfg.rate_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+        exact = regime is not CsiRegime.PILOT_FEEDBACK  # else C is a Monte Carlo estimate
+        w = {r: c - alpha for r, (_, c, _) in history.items()}  # C - alpha, Illinois-halved
+        bisect, last = not exact, None
+        # a width below the float spacing ends once no double lies between lo and hi
+        while (hi - lo > (1e-12 * max(lo, 1.0) if exact else cfg.rate_tol)
+               and lo < (mid := 0.5 * (lo + hi)) < hi):
+            x = mid if bisect else lo + w[lo] * (hi - lo) / (w[lo] - w[hi])  # regula falsi
+            x = x if lo < x < hi else mid
+            up = feasible(x)
+            old, kept = (lo, hi) if up else (hi, lo)
+            bisect = not exact or history[x][1] == history[old][1]  # a flat piece of C
+            w[x] = history[x][1] - alpha
+            if up is last:  # the same end replaced twice in a row
+                w[kept] /= 2.0
+            lo, hi, last = (x, hi, up) if up else (lo, x, up)
     _assert_monotone([(r, c, se) for r, (_, c, se) in history.items()])
     policy, c, se = history[lo]
     return SecrecySolution(lo, policy, FeasibilityReport(c, se, c >= alpha))

@@ -9,6 +9,7 @@ from secrates import ChannelTriple, GainDistribution, MonteCarlo, RatePolicy, Sy
 from secrates.adversary import (
     CsiRegime,
     JammingRule,
+    best_response,
     best_response_nocsi,
     best_response_packet,
     best_response_pilot,
@@ -19,7 +20,7 @@ from secrates.delay_limited import (
     evaluate_constraint,
     optimize_policy_packet,
 )
-from secrates.errors import InvalidRates
+from secrates.errors import InvalidInput, InvalidRates
 
 from conftest import det_triple
 
@@ -198,6 +199,25 @@ class TestMeasurability:
                 perturbed[:, col] = rng.exponential(5.0, size=200)
                 out = rule.decide(perturbed[:, 0], perturbed[:, 1], perturbed[:, 2])
                 assert np.array_equal(base, out), (regime, unseen)
+
+
+class TestDecideChecksGains:
+    @pytest.mark.parametrize("regime", list(CsiRegime))
+    def test_bad_gain_named(self, regime, paper_delay_setup):
+        # a nan h_e or h_z made the pilot rule index past its grid (IndexError), and the
+        # other rules answered eavesdrop; every gain is checked, observed or not
+        sp, dist = paper_delay_setup
+        rule = best_response(regime, RatePolicy.constant(1.2), 0.3, sp, dist)
+        for i, name in enumerate(("h_m", "h_e", "h_z")):
+            for bad in (math.nan, math.inf, -1.0):
+                gains = [0.0, 1.0, 1.0]
+                gains[i] = bad
+                with pytest.raises(InvalidInput, match=name):
+                    rule.decide(*gains)
+                gains[i] = np.array([1.0, bad])
+                with pytest.raises(InvalidInput, match=name):
+                    rule.decide(*gains)
+        assert rule.decide(0.0, 1.0, 1.0) in (True, False)
 
 
 def _random_rule(regime: CsiRegime, rng) -> JammingRule:

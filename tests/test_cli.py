@@ -23,7 +23,7 @@ FAST_CHANNELS = {
     "h_e": {"kind": "deterministic", "value": 0.0},
     "h_z": {"kind": "deterministic", "value": 1.0},
 }
-# the one point-eval op that reads seed and samples as well as rate_tol: a pilot solve
+# the one point-eval op that reads seed, samples and rate_tol: a pilot solve
 SOLVE = {"op": "solve", "args": {"regime": "pilot_feedback", "alpha": 0.5}}
 
 
@@ -211,10 +211,11 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("regime", ["no_csi", "packet_feedback"])
     def test_samples_unread_by_a_closed_form_solve(self, tmp_path, capsys, regime):
-        # only a pilot solve draws: the other regimes neither check nor record seed and samples
-        config = {"scenario": "point-eval", "samples": 10**15, "seed": -1,
+        # only a pilot solve draws and bisects to rate_tol: the other regimes find their
+        # root exactly, and neither check nor record seed, samples and rate_tol
+        config = {"scenario": "point-eval", "samples": 10**15, "seed": -1, "rate_tol": 0,
                   "point": {"op": "solve", "args": {"regime": regime, "alpha": 0.5}}}
-        assert not {"seed", "samples"} & set(_resolve(config).config)
+        assert not {"seed", "samples", "rate_tol"} & set(_resolve(config).config)
         cfg = write_config(tmp_path / "c.yaml", {**config, "channels": FAST_CHANNELS})
         assert main(["--config", str(cfg)]) == EXIT_OK
         assert f"solve[{regime}](alpha=0.5)" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import signal
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 
 from secrates import ChannelTriple, GainDistribution, MonteCarlo, RatePolicy, SystemParams
 from secrates import adversary, channels, delay_limited
@@ -627,3 +628,65 @@ class TestSolve:
         # a rate bump beyond the search tolerance must break feasibility
         _, c_above = optimize_policy_packet(sol.r_s_star + 5e-4, sp, dist)
         assert c_above < alpha
+
+
+def regime_evaluator(regime, sp, dist, n_knots):
+    """C(r_s) as solve evaluates it for a closed-form regime, at the regime's optimal policy."""
+    if regime is CsiRegime.NO_CSI:
+        return lambda r: _best_constant_nocsi(r, sp, dist)[1]
+    return lambda r: optimize_policy_packet(r, sp, dist, n_knots)[1]
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The number of constraint evaluations solve has made so far, per regime."""
+    count = {CsiRegime.NO_CSI: 0, CsiRegime.PACKET_FEEDBACK: 0}
+    for regime, name in ((CsiRegime.NO_CSI, "_best_constant_nocsi"),
+                         (CsiRegime.PACKET_FEEDBACK, "optimize_policy_packet")):
+        def counted(*args, _regime=regime, _f=getattr(delay_limited, name)):
+            count[_regime] += 1
+            return _f(*args)
+        monkeypatch.setattr(delay_limited, name, counted)
+    return count
+
+
+CLOSED_REGIMES = [CsiRegime.NO_CSI, CsiRegime.PACKET_FEEDBACK]
+
+
+class TestExactRoot:
+    """No-CSI and packet C(r_s) are exact, so solve returns sup{r_s : C(r_s) >= alpha}
+    to 1e-12 relative, not a bisection point up to rate_tol below it."""
+
+    @pytest.mark.parametrize("regime", CLOSED_REGIMES)
+    @pytest.mark.parametrize("h_z", [D(1.0), E(1.0)])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_matches_an_independent_root(self, regime, h_z, alpha):
+        sp, dist = SystemParams(1.0, 1.0), ChannelTriple(E(10.0), E(1.0), h_z)
+        cfg = SearchConfig(n_knots=64)
+        sol = solve(regime, sp, dist, alpha, cfg)
+        c = regime_evaluator(regime, sp, dist, cfg.n_knots)
+        root = brentq(lambda r: c(r) - alpha, 0.0, 8.0, xtol=1e-12)
+        assert sol.report.feasible is True
+        assert sol.r_s_star == pytest.approx(root, abs=1e-10)
+
+    @pytest.mark.parametrize("regime", CLOSED_REGIMES)
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_step_shaped_constraint(self, regime, alpha, evaluations):
+        # with every link a point mass C is a step function, whose flat pieces leave a
+        # regula falsi step next to the end it keeps: the search must still end quickly
+        sol = solve(regime, SystemParams(1.0, 1.0), det_triple(10.0, 1.0, 1.0), alpha)
+        assert sol.report.feasible is True
+        assert evaluations[regime] <= 50
+        if regime is CsiRegime.PACKET_FEEDBACK:
+            # the jump: a rate of log2(1 + 10/2) leaves log2(6) - log2(2) for secrecy
+            assert sol.r_s_star == pytest.approx(math.log2(3.0), abs=1e-12)
+
+    @pytest.mark.parametrize("regime, n_knots", [(CsiRegime.NO_CSI, 256),
+                                                 (CsiRegime.PACKET_FEEDBACK, 64)])
+    def test_fading_jammer_evaluation_count(self, regime, n_knots, paper_ergodic_setup,
+                                            evaluations):
+        # a bisection to rate_tol 1e-3 takes 12 evaluations per solve here
+        sp, dist = paper_ergodic_setup
+        sol = solve(regime, sp, dist, 0.5, SearchConfig(rate_tol=1e-3, n_knots=n_knots))
+        assert sol.report.feasible is True
+        assert evaluations[regime] <= 9
