@@ -1,12 +1,10 @@
 """Outage-constrained maximin secrecy-rate solver for the delay-limited case.
 
-The long-run fraction of blocks that survive both connection and secrecy
-outage, evaluated at the adversary's best response, must stay above a
-threshold ``alpha``.  The transmitter maximizes the secrecy rate subject
-to that constraint; the constraint value shrinks as the secrecy rate
-grows (holding the optimized policy class fixed), so the answer is the
-right end of a bracketed root search: Illinois regula falsi where the
-constraint is exact, bisection where it is a Monte Carlo estimate.
+The long-run fraction of blocks that survive both connection and secrecy outage,
+at the adversary's best response, must stay above ``alpha``.  The transmitter
+maximizes the secrecy rate under that constraint, which shrinks as the secrecy
+rate grows, so the answer is the right end of a bracketed root search
+(:func:`_illinois`); for no CSI it is one maximization over the code rate.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .phy_rates import (SystemParams, cell_mass, jam_threshold, rate_eve, rate_m
 from .policies import RatePolicy, cell_index
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_R_CAP = 64.0  # the largest secrecy rate searched, in bits
 
 
 @dataclass(frozen=True)
@@ -97,10 +94,9 @@ def evaluate_constraint_full_duplex(
 ) -> FeasibilityReport:
     """Success fraction when jamming and eavesdropping bind simultaneously.
 
-    This is the bounding device behind the pilot-vs-packet comparison: a
-    block succeeds only if the jammed main capacity carries the code rate
-    *and* the eavesdropper stays below the rate margin.  The result must
-    coincide with the packet-feedback closed form.
+    This is the bounding device behind the pilot-vs-packet comparison: a block succeeds
+    only if the jammed main capacity carries the code rate *and* the eavesdropper stays
+    below the rate margin.  The result must coincide with the packet-feedback closed form.
     """
     b = _draws(dist, method)
     r = policy.rate_at(b.h_m)
@@ -168,13 +164,11 @@ def c_min_closed_form(
 ) -> float:
     """Constraint value at the adversary's best response, in closed form.
 
-    The best-responding adversary reduces the constraint to the single
-    probability P[r_s + log2(1+p*H_e) <= R(H_m) <= jammed main capacity].
-    With independent gains and a piecewise-constant policy this is a sum
-    of per-cell products of marginal probabilities, each elementary for
-    exponential or point-mass gains (see :func:`_cell_jam_mass` for a
-    fading jamming link).
-    """
+    The best-responding adversary reduces the constraint to the single probability
+    P[r_s + log2(1+p*H_e) <= R(H_m) <= jammed main capacity].  With independent gains and
+    a piecewise-constant policy this is a sum of per-cell products of marginal
+    probabilities, each elementary for exponential or point-mass gains (see
+    :func:`_cell_jam_mass` for a fading jamming link)."""
     if regime is CsiRegime.PILOT_FEEDBACK:
         raise UnsupportedRegime("no closed form for pilot feedback")
     _check_regime(regime, policy)
@@ -184,14 +178,16 @@ def c_min_closed_form(
     return float(np.clip(np.sum(cells), 0.0, 1.0))
 
 
-def _golden_max(f, lo, hi, tol: float = 1e-6):
-    """Golden-section maximization of unimodal functions on [lo, hi].
-
-    Elementwise: ``f`` maps an array of points to their values, one objective
-    per element, and each element stops at its own ``b - a <= tol``, visiting
-    the points its scalar search would.
-    """
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+def _grid_then_golden(f, lo, hi, n_grid: int = 48, tol: float = 1e-6):
+    """Maximize unimodal functions on [lo, hi], elementwise: ``f`` maps an array of
+    points to their values, one objective per element.  A grid of n_grid points, taken
+    in one call, then golden section between the best one's neighbours, each element
+    stopping at its own ``b - a <= tol`` and visiting the points its scalar search would."""
+    grid = np.linspace(lo, hi, n_grid)
+    vals = f(grid)
+    k = np.argmax(vals, axis=0)[None]
+    at = lambda arr, i: np.take_along_axis(arr, i, axis=0)[0]
+    a, b = at(grid, np.maximum(k - 1, 0)), at(grid, np.minimum(k + 1, n_grid - 1))
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -204,23 +200,41 @@ def _golden_max(f, lo, hi, tol: float = 1e-6):
         fx = f(x)
         x2, f2 = np.where(up, x, x2), np.where(up, fx, f2)
         x1, f1 = np.where(down, x, x1), np.where(down, fx, f1)
-    return np.where(f1 >= f2, x1, x2)[()], np.maximum(f1, f2)[()]
+    x, v = np.where(f1 >= f2, x1, x2), np.maximum(f1, f2)
+    keep = at(vals, k) >= v
+    return np.where(keep, at(grid, k), x)[()], np.where(keep, at(vals, k), v)[()]
 
 
-def _grid_then_golden(f, lo, hi, n_grid: int = 48, tol: float = 1e-6):
-    """Coarse-grid scan followed by golden-section refinement, elementwise.
+def _illinois(f, lo, hi, f_lo, f_hi, width):
+    """Narrow brackets f(lo) >= 0 > f(hi) elementwise; returns lo, where f >= 0.
 
-    ``f`` is evaluated on an (n_grid, ...) array of points at once; see
-    :func:`_golden_max` for the refinement.
-    """
-    grid = np.linspace(lo, hi, n_grid)
-    vals = f(grid)
-    k = np.argmax(vals, axis=0)[None]
-    at = lambda arr, i: np.take_along_axis(arr, i, axis=0)[0]
-    x_grid, v_grid = at(grid, k), at(vals, k)
-    x, v = _golden_max(f, at(grid, np.maximum(k - 1, 0)), at(grid, np.minimum(k + 1, n_grid - 1)), tol)
-    keep = v_grid >= v
-    return np.where(keep, x_grid, x)[()], np.where(keep, v_grid, v)[()]
+    ``f(x, live)`` evaluates at x the functions of the elements indexed by ``live``;
+    ``f_lo`` and ``f_hi`` are their values at the ends.  Illinois regula falsi steps
+    (Dowell & Jarratt 1971) run until hi - lo <= width(lo) or no double lies between.
+    A step onto a flat piece of f (the value of the end it replaces) is followed by a
+    midpoint, so a step function is bisected, not crawled; the kept end's weight is
+    halved only when the same end is replaced twice in a row."""
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float, ndmin=1)
+                          for v in np.broadcast_arrays(lo, hi, f_lo, f_hi))
+    w_lo, w_hi = f_lo.copy(), f_hi.copy()  # the Illinois-halved weights
+    flat, last = np.zeros(lo.shape, bool), np.zeros(lo.shape)  # last: +1 lo replaced, -1 hi
+    while (live := np.flatnonzero((hi - lo > width(lo)) & (lo < (mid := 0.5 * (lo + hi)))
+                                  & (mid < hi))).size:
+        a, b, wa, wb = lo[live], hi[live], w_lo[live], w_hi[live]
+        x = a + np.divide(wa * (b - a), wa - wb, out=np.zeros(live.size), where=wa > wb)
+        # a step onto an end (from f = 0 there, or wa = wb = 0) moves half a width inside
+        x = np.where(x <= a, a + 0.5 * width(a), np.where(x >= b, b - 0.5 * width(a), x))
+        x = np.where(flat[live] | ~((a < x) & (x < b)), mid[live], x)
+        fx = f(x, live)
+        up = fx >= 0
+        side = np.where(up, 1.0, -1.0)
+        flat[live] = fx == np.where(up, f_lo[live], f_hi[live])
+        again, last[live] = last[live] == side, side
+        w_lo[live] = np.where(up, fx, np.where(again, 0.5 * wa, wa))
+        w_hi[live] = np.where(up, np.where(again, 0.5 * wb, wb), fx)
+        lo[live], f_lo[live] = np.where(up, x, a), np.where(up, fx, f_lo[live])
+        hi[live], f_hi[live] = np.where(up, b, x), np.where(up, f_hi[live], fx)
+    return lo
 
 
 def _packet_knots(d: GainDistribution, n_knots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,14 +252,10 @@ def optimize_policy_packet(
 ) -> tuple[RatePolicy, float]:
     """Per-state rate policy maximizing the packet-feedback constraint.
 
-    The constraint is a separate expectation over the main gain, so the
-    optimal rate is found knot by knot: maximize
-    ``P[H_e <= (2^(r-r_s)-1)/p] * P[1 + p_j*H_z <= p*h_m/(2^r - 1)]``
-    over ``r`` in ``[r_s, log2(1 + p*h_m)]`` at the cell's quantile
-    midpoint ``h_m``.  One elementwise grid-then-golden search covers all
-    knots at once.  Knots are quantile-spaced in H_m so resolution follows
-    probability mass.
-    """
+    The constraint is a separate expectation over the main gain, so each knot maximizes
+    ``P[H_e <= (2^(r-r_s)-1)/p] * P[1 + p_j*H_z <= p*h_m/(2^r - 1)]`` over ``r`` in
+    ``[r_s, log2(1 + p*h_m)]`` at its cell's quantile midpoint ``h_m``, all knots in one
+    elementwise search.  Knots are quantile-spaced in H_m so resolution follows mass."""
     _check_secrecy_rate(r_s)
     require(isinstance(n_knots, numbers.Integral) and n_knots >= 1, "n_knots", "an integer >= 1")
     knots_h, reps = _packet_knots(dist.h_m, n_knots)
@@ -279,22 +289,18 @@ def optimize_policy_pilot(
 ) -> tuple[RatePolicy, float, float]:
     """Rate policy for the pilot regime; returns (policy, c_min, std_err).
 
-    The pilot adversary cannot see h_m, so the transmitter can gamble: cells whose
-    rate rides the clear (unjammed) capacity gain secrecy margin but are lost whenever
-    the adversary jams.  Starting from the packet-optimal policy (whose constraint the
-    pilot value can never fall below), the fraction of low-gain cells flipped to the
-    clear capacity is tuned by a 1-D search that scores each candidate exactly against
-    the pilot best response (:func:`_pilot_family`).  The chosen policy, with the jam
-    decision table its exact score built, is scored on one Monte Carlo batch keyed by
-    ``substream(seed, 2)``, drawn and indexed once (:func:`_pilot_batch`) and reused
-    across r_s and alphas.
-    """
+    The pilot adversary cannot see h_m, so a cell whose rate rides the clear capacity
+    gains secrecy margin but is lost whenever it jams.  From the packet-optimal policy (a
+    floor on the pilot value), a 1-D search tunes the fraction of low-gain cells so
+    flipped, scoring each candidate exactly (:func:`_pilot_family`).  The chosen one, with
+    the jam decision table its score built, is scored on one Monte Carlo batch keyed by
+    ``substream(seed, 2)`` (:func:`_pilot_batch`), reused across r_s and alphas."""
     # the batch is drawn before the search tables exist, so their peaks do not stack
     batch = _pilot_batch(sp, dist, substream(cfg.seed, 2), cfg.mc_n, cfg.n_knots)
     base, _ = optimize_policy_packet(r_s, sp, dist, cfg.n_knots)  # on the batch's knots
     clear_lo = np.maximum(rate_main_clear(sp, base.knots_h), r_s)
     k_of = lambda frac: int(round(frac * clear_lo.size))
-    score = _pilot_family(base, clear_lo, r_s, sp, dist)
+    score = functools.cache(_pilot_family(base, clear_lo, r_s, sp, dist))  # a k is scored once
     c_min = np.vectorize(lambda f: score(k_of(f))[0], otypes=[float])
     f_star, _ = _grid_then_golden(c_min, 0.0, 1.0, n_grid=11, tol=0.02)
     _, jam = score(k := k_of(f_star))
@@ -371,23 +377,35 @@ class _PilotBatch:
         return _binomial(np.count_nonzero(ok), ok.size)
 
 
-def _best_constant_nocsi(
-    r_s: float, sp: SystemParams, dist: ChannelTriple
-) -> tuple[RatePolicy, float]:
-    """Maximize the no-CSI closed form over the constant code rate, on a
-    window [r_s, hi] widened until a jammed block carries rate hi with mass
-    at most 1e-9: at the latest once 2^hi overflows and the mass is 0."""
+def _solve_nocsi(sp: SystemParams, dist: ChannelTriple, alpha: float) -> SecrecySolution:
+    """At code rate R the no-CSI constraint is S(R - r_s) J(R), S the eavesdropper
+    capacity's cdf and J the jammed mass, so the answer is the maximum over R of
+    h(R) = R - Q_e(alpha/J(R)), Q_e the quantile of S, with h = -inf where J(R) < alpha.
+    Where it is negative even r_s = 0 fails, and the report is the best constant rate."""
+    jam = lambda r: np.asarray(_cell_jam_mass(0.0, np.inf, r, sp, dist))
+    hi = 1.0
+    while (j := jam(hi)) > 1e-9 or j >= alpha:  # at the latest 2^hi overflows and J(hi) = 0
+        hi *= 2.0
 
-    def g(r):
-        # c_min_closed_form of RatePolicy.constant(r), for an array of r
-        mass = _cell_jam_mass(0.0, np.inf, r, sp, dist)
-        return np.clip(secrecy_factor(r, r_s, sp, dist.h_e) * mass, 0.0, 1.0)
+    def h(r):
+        j = jam(r)
+        q = np.divide(alpha, j, out=np.ones(j.shape), where=j >= alpha)
+        return np.where(j >= alpha, r - rate_eve(sp, dist.h_e.ppf(q)), -np.inf)
 
-    hi = r_s + 1.0
-    while _cell_jam_mass(0.0, np.inf, hi, sp, dist) > 1e-9:
-        hi = r_s + 2.0 * (hi - r_s)
-    r_star, c = _grid_then_golden(g, r_s, hi, n_grid=96)
-    return RatePolicy.constant(r_star), float(c)
+    rate, r_s = map(float, _grid_then_golden(h, 0.0, hi, n_grid=96, tol=1e-12))
+    if dist.h_m.is_degenerate:  # J may step down at the jammed capacity, where golden cannot land
+        edge = float(rate_main_jammed(sp, dist.h_m.param, dist.h_z.param))
+        if (h_edge := float(h(edge))) > r_s:
+            rate, r_s = edge, h_edge
+    for k in range(12):  # rounding in R - Q_e and in S can leave C just short of alpha
+        c = c_min_closed_form(CsiRegime.NO_CSI, RatePolicy.constant(rate), max(r_s, 0.0), sp, dist)
+        if r_s < 0 or c >= alpha:
+            break
+        r_s -= float(np.spacing(rate)) * 2.0 ** k  # 2^k ulps of R, 2^12 - 1 in all
+    if r_s < 0 or c < alpha:
+        g = lambda r: np.clip(secrecy_factor(r, 0.0, sp, dist.h_e) * jam(r), 0.0, 1.0)
+        (rate, c), r_s = map(float, _grid_then_golden(g, 0.0, hi, n_grid=96)), 0.0
+    return SecrecySolution(r_s, RatePolicy.constant(rate), FeasibilityReport(c, 0.0, c >= alpha))
 
 
 def solve(
@@ -399,54 +417,36 @@ def solve(
 ) -> SecrecySolution:
     """Maximal secrecy rate whose best-response constraint stays >= alpha.
 
-    No-CSI and packet feedback use their closed forms.  Pilot feedback searches
-    a family built on the packet-optimal policy exactly against the pilot
-    best-response adversary, and reports the chosen policy's value by Monte Carlo
-    (a lower bound on the pilot optimum, realizing the feasible-set inclusion
-    behind the regime ordering), on one batch reused across bisection points.
-
-    Doubling r_s brackets the answer, C(lo) >= alpha > C(hi).  For the exact
-    regimes an Illinois regula falsi step on C - alpha (Dowell & Jarratt 1971)
-    narrows it to 1e-12 relative, so the answer is sup{r_s : C(r_s) >= alpha}, the
-    jump itself where a point-mass link makes C a step function; a step that lands
-    on a flat piece of C is followed by a midpoint.  The pilot bisects to
-    ``cfg.rate_tol``.  Each r_s visited is evaluated once; the answer is the record
-    of the largest feasible one, lo.
-    """
+    No-CSI is one maximization over the code rate (:func:`_solve_nocsi`); packet feedback
+    uses its closed form; pilot feedback searches a family built on the packet-optimal
+    policy exactly against the pilot best response and reports the chosen policy's value
+    by Monte Carlo (a lower bound on the pilot optimum), on one batch reused across r_s.
+    Doubling r_s brackets the answer, C(lo) >= alpha > C(hi); :func:`_illinois` narrows it
+    on C - alpha to 1e-12 relative for packet feedback, to sup{r_s : C(r_s) >= alpha}, and
+    on the sign of C - alpha, so by bisection, to ``cfg.rate_tol`` for the pilot."""
     cfg = cfg or SearchConfig()
     if not (0.0 < alpha <= 1.0):
         raise AlphaOutOfRange("alpha must lie in (0, 1]")
-    evaluate = {  # r_s -> (policy, c_min, std_err)
-        CsiRegime.NO_CSI: lambda r: (*_best_constant_nocsi(r, sp, dist), 0.0),
-        CsiRegime.PACKET_FEEDBACK: lambda r: (*optimize_policy_packet(r, sp, dist, cfg.n_knots), 0.0),
-        CsiRegime.PILOT_FEEDBACK: lambda r: optimize_policy_pilot(r, sp, dist, cfg),
-    }[regime]
-    history: dict[float, tuple[RatePolicy, float, float]] = {}
+    if regime is CsiRegime.NO_CSI:
+        return _solve_nocsi(sp, dist, alpha)
+    if regime is CsiRegime.PACKET_FEEDBACK:
+        evaluate = lambda r: (*optimize_policy_packet(r, sp, dist, cfg.n_knots), 0.0)
+        gap, width = lambda c: c - alpha, lambda lo: 1e-12 * np.maximum(lo, 1.0)
+    else:  # C is a Monte Carlo estimate
+        evaluate = lambda r: optimize_policy_pilot(r, sp, dist, cfg)
+        gap, width = lambda c: 1.0 if c >= alpha else -1.0, lambda lo: cfg.rate_tol
+    history: dict[float, tuple[RatePolicy, float, float]] = {}  # r_s -> (policy, C, std_err)
 
-    def feasible(r_s: float) -> bool:
+    def f(r_s: float) -> float:
         history[r_s] = evaluate(r_s)
-        return history[r_s][1] >= alpha
+        return gap(history[r_s][1])
 
     lo, hi = 0.0, 1.0
-    if feasible(lo):
-        while hi <= _R_CAP and feasible(hi):
+    if f(lo) >= 0:
+        while f(hi) >= 0:  # ends by 1024 bits: no finite gain carries more
             lo, hi = hi, 2.0 * hi
-        hi = min(hi, _R_CAP)  # past _R_CAP only if feasible everywhere we search
-        exact = regime is not CsiRegime.PILOT_FEEDBACK  # else C is a Monte Carlo estimate
-        w = {r: c - alpha for r, (_, c, _) in history.items()}  # C - alpha, Illinois-halved
-        bisect, last = not exact, None
-        # a width below the float spacing ends once no double lies between lo and hi
-        while (hi - lo > (1e-12 * max(lo, 1.0) if exact else cfg.rate_tol)
-               and lo < (mid := 0.5 * (lo + hi)) < hi):
-            x = mid if bisect else lo + w[lo] * (hi - lo) / (w[lo] - w[hi])  # regula falsi
-            x = x if lo < x < hi else mid
-            up = feasible(x)
-            old, kept = (lo, hi) if up else (hi, lo)
-            bisect = not exact or history[x][1] == history[old][1]  # a flat piece of C
-            w[x] = history[x][1] - alpha
-            if up is last:  # the same end replaced twice in a row
-                w[kept] /= 2.0
-            lo, hi, last = (x, hi, up) if up else (lo, x, up)
+        lo = float(_illinois(lambda x, _: np.array([f(float(x[0]))]), lo, hi,
+                             gap(history[lo][1]), gap(history[hi][1]), width)[0])
     _assert_monotone([(r, c, se) for r, (_, c, se) in history.items()])
     policy, c, se = history[lo]
     return SecrecySolution(lo, policy, FeasibilityReport(c, se, c >= alpha))

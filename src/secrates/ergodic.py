@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import EXPONENTIAL, ChannelTriple, GainDistribution, expect
+from .delay_limited import _illinois
 from .errors import require
 from .phy_rates import SystemParams, rate_main_jammed
 
@@ -231,10 +232,10 @@ def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
     E[H_m] where the two encoding strategies tie.
 
     Every rate is the module's closed form with its rounding bound, so no
-    quadrature runs.  Each row whose rate gap changes sign is bisected from
-    its first sign-change grid cell, all live rows at once; a row drops out
-    once its bracket is narrower than 1e-12 of its lower end, and reports
-    the bracket midpoint with the error bar of the gap at the last step.
+    quadrature runs.  Each row whose rate gap changes sign is narrowed from its
+    first sign-change grid cell by :func:`~secrates.delay_limited._illinois`, all
+    rows at once, to a bracket narrower than 1e-12 of its lower end.  That end is
+    reported, with the error bar of the gap there.
     """
     he_means = np.asarray(he_means, dtype=float)
     hm_means = np.asarray(hm_means, dtype=float)
@@ -250,22 +251,21 @@ def dominance_region(he_means, hm_means, cfg: RegionConfig) -> RegionResult:
     rn, ru, en, eu = rates_at(hm_means[None, :], he_means[:, None])
     gap = rn - ru
     rows = np.flatnonzero((gap[:, 0] * gap[:, -1] <= 0) & (hm_means.size >= 2))
-    gap_lo = gap[rows, 0]
-    crossed = gap[rows] * gap_lo[:, None] <= 0
+    sign = np.sign(gap[rows, 0])
+    crossed = gap[rows] * sign[:, None] <= 0
     crossed[:, 0] = False
     j = np.argmax(crossed, axis=1)  # first cell [hm[j - 1], hm[j]] with a sign change
-    lo, hi = hm_means[j - 1], hm_means[j]
-    gap_err = np.hypot(en, eu)[rows, j]
-    while (live := np.flatnonzero(hi - lo > 1e-12 * lo)).size:
-        mid = 0.5 * (lo[live] + hi[live])
-        a, b, ea, eb = rates_at(mid, he_means[rows[live]])
-        gap_err[live] = np.hypot(ea, eb)
-        below = (a - b) * gap_lo[live] <= 0
-        hi[live] = np.where(below, mid, hi[live])
-        lo[live] = np.where(below, lo[live], mid)
+    lo = hm_means[j - 1]
+    hi = np.where(sign == 0, lo, hm_means[j])  # a first cell at an exact tie is the tie
 
+    def f(x, live):
+        a, b, _, _ = rates_at(x, he_means[rows[live]])
+        return (a - b) * sign[live]
+
+    lo = _illinois(f, lo, hi, np.abs(gap[rows, 0]), gap[rows, j] * sign, lambda lo: 1e-12 * lo)
+    _, _, ea, eb = rates_at(lo, he_means[rows])
     boundary = [BoundaryPoint(float(e_he), None, "no_crossing", 0.0) for e_he in he_means]
-    for i, e_hm, err in zip(rows, 0.5 * (lo + hi), gap_err):
+    for i, e_hm, err in zip(rows, lo, np.hypot(ea, eb)):
         boundary[i] = BoundaryPoint(float(he_means[i]), float(e_hm), "ok", float(err))
     en, eu = np.full(rn.shape, en), np.full(rn.shape, eu)
     return RegionResult(he_means, hm_means, rn, ru, en, eu, boundary)

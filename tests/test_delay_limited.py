@@ -4,7 +4,8 @@ import signal
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.optimize import brentq
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from secrates import ChannelTriple, GainDistribution, MonteCarlo, RatePolicy, SystemParams
 from secrates import adversary, channels, delay_limited
@@ -12,7 +13,6 @@ from secrates.adversary import CsiRegime, JammingRule, best_response, best_respo
 from secrates.delay_limited import (
     SearchConfig,
     _assert_monotone,
-    _best_constant_nocsi,
     _cell_jam_mass,
     _flip,
     _pilot_batch,
@@ -33,6 +33,28 @@ from conftest import det_triple
 
 
 E, D = GainDistribution.exponential, GainDistribution.deterministic
+CLOSED_REGIMES = [CsiRegime.NO_CSI, CsiRegime.PACKET_FEEDBACK]
+
+
+def best_constant_c(r_s, sp, dist, n_grid=201):
+    """The no-CSI C(r_s): the closed form maximized over the constant code rate R, test-side.
+
+    A grid over [r_s, the clear capacity of H_m's top quantile], plus the rates where a
+    point-mass link makes C jump (and a few ulps above them), then a bounded scalar search
+    around the best grid point."""
+    c = lambda r: c_min_closed_form(CsiRegime.NO_CSI, RatePolicy.constant(r), r_s, sp, dist)
+    top = max(float(np.log2(1.0 + sp.p * dist.h_m.ppf(1.0))), r_s)
+    jumps = [r_s + np.log2(1.0 + sp.p * dist.h_e.param)] if dist.h_e.is_degenerate else []
+    if dist.h_m.is_degenerate:
+        jumps += [np.log2(1.0 + sp.p * dist.h_m.param / (1.0 + sp.p_j * z))
+                  for z in {0.0, dist.h_z.param if dist.h_z.is_degenerate else 0.0}]
+    grid = np.linspace(r_s, top, n_grid)
+    values = [c(r) for r in grid]
+    k = int(np.argmax(values))
+    fine = minimize_scalar(lambda r: -c(r), method="bounded", options={"xatol": 1e-12},
+                           bounds=(grid[max(k - 1, 0)], grid[min(k + 1, n_grid - 1)]))
+    near = [r * (1.0 + i * np.finfo(float).eps) for r in jumps if r >= r_s for i in range(4)]
+    return max(values[k], -fine.fun, *(c(r) for r in near))
 
 
 def always_jam(regime=CsiRegime.NO_CSI):
@@ -302,7 +324,7 @@ class TestPacketPolicy:
     def test_beats_best_constant(self, paper_delay_setup):
         sp, dist = paper_delay_setup
         for r_s in (0.0, 0.5, 1.0):
-            _, c_const = _best_constant_nocsi(r_s, sp, dist)
+            c_const = best_constant_c(r_s, sp, dist)
             _, c_packet = optimize_policy_packet(r_s, sp, dist, n_knots=256)
             assert c_packet >= c_const - 1e-9
 
@@ -548,6 +570,15 @@ class TestSolve:
         assert r_s[0] > 0.0
         assert r_s[1] == pytest.approx(r_s[0], abs=2 * cfg.rate_tol)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("regime", CLOSED_REGIMES)
+    def test_secrecy_rate_past_64_bits(self, regime):
+        # with H_e = 0 every bit the jammed link carries is secret: log2(1 + 1e30) bits.
+        # The secrecy-rate search stopped doubling at 64 bits and returned 64
+        sol = solve(regime, SystemParams(1e30, 0.0), det_triple(1.0, 0.0, 1.0), 0.5)
+        assert sol.report.feasible is True
+        assert sol.r_s_star == pytest.approx(math.log2(1.0 + 1e30), rel=1e-12)
+
     @pytest.mark.parametrize("field, bad", [
         ("rate_tol", math.inf), ("n_knots", 2.5), ("n_knots", 0), ("seed", -1), ("seed", 1.5),
         ("mc_n", 0), ("mc_n", 1e6),
@@ -633,24 +664,22 @@ class TestSolve:
 def regime_evaluator(regime, sp, dist, n_knots):
     """C(r_s) as solve evaluates it for a closed-form regime, at the regime's optimal policy."""
     if regime is CsiRegime.NO_CSI:
-        return lambda r: _best_constant_nocsi(r, sp, dist)[1]
+        return lambda r: best_constant_c(r, sp, dist)
     return lambda r: optimize_policy_packet(r, sp, dist, n_knots)[1]
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The number of constraint evaluations solve has made so far, per regime."""
+    """The number of constraint evaluations solve has made so far, per regime: closed-form
+    values of a code rate for no-CSI, optimized packet policies for packet feedback."""
     count = {CsiRegime.NO_CSI: 0, CsiRegime.PACKET_FEEDBACK: 0}
-    for regime, name in ((CsiRegime.NO_CSI, "_best_constant_nocsi"),
+    for regime, name in ((CsiRegime.NO_CSI, "c_min_closed_form"),
                          (CsiRegime.PACKET_FEEDBACK, "optimize_policy_packet")):
         def counted(*args, _regime=regime, _f=getattr(delay_limited, name)):
             count[_regime] += 1
             return _f(*args)
         monkeypatch.setattr(delay_limited, name, counted)
     return count
-
-
-CLOSED_REGIMES = [CsiRegime.NO_CSI, CsiRegime.PACKET_FEEDBACK]
 
 
 class TestExactRoot:
@@ -677,9 +706,17 @@ class TestExactRoot:
         sol = solve(regime, SystemParams(1.0, 1.0), det_triple(10.0, 1.0, 1.0), alpha)
         assert sol.report.feasible is True
         assert evaluations[regime] <= 50
-        if regime is CsiRegime.PACKET_FEEDBACK:
-            # the jump: a rate of log2(1 + 10/2) leaves log2(6) - log2(2) for secrecy
-            assert sol.r_s_star == pytest.approx(math.log2(3.0), abs=1e-12)
+        # the jump: a rate of log2(1 + 10/2) leaves log2(6) - log2(2) for secrecy
+        assert sol.r_s_star == pytest.approx(math.log2(3.0), abs=1e-12)
+
+    def test_nocsi_runs_no_root_search(self, monkeypatch, paper_delay_setup):
+        # the no-CSI answer is one maximization over the code rate, not a search over r_s
+        def no_search(*args):
+            raise AssertionError("no-CSI solve entered the r_s root search")
+
+        monkeypatch.setattr(delay_limited, "_illinois", no_search)
+        for alpha in (0.1, 0.5, 0.95):
+            solve(CsiRegime.NO_CSI, *paper_delay_setup, alpha)
 
     @pytest.mark.parametrize("regime, n_knots", [(CsiRegime.NO_CSI, 256),
                                                  (CsiRegime.PACKET_FEEDBACK, 64)])
@@ -690,3 +727,48 @@ class TestExactRoot:
         sol = solve(regime, sp, dist, 0.5, SearchConfig(rate_tol=1e-3, n_knots=n_knots))
         assert sol.report.feasible is True
         assert evaluations[regime] <= 9
+
+
+gain_laws = st.one_of(st.builds(E, st.floats(1e-2, 1e2)), st.builds(D, st.floats(1e-2, 1e2)))
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("regime", CLOSED_REGIMES)
+class TestSupProperty:
+    """Over random exponential or point-mass laws, powers and alphas, the answer is
+    sup{r_s : C(r_s) >= alpha}: C holds at r_s* and fails just above it, with the no-CSI C
+    from :func:`best_constant_c`, and r_s* is nonincreasing in alpha.  Each answer stops
+    up to 1e-12 relative below its sup, so two alphas a few ulps apart, or two searches
+    down one step of C, may order their answers either way within that width."""
+
+    @staticmethod
+    def solve_and_c(regime, sp, dist, alpha):
+        cfg = SearchConfig(n_knots=16)
+        if regime is CsiRegime.NO_CSI:
+            c = lambda r: best_constant_c(r, sp, dist)
+        else:
+            c = lambda r: optimize_policy_packet(r, sp, dist, cfg.n_knots)[1]
+        return solve(regime, sp, dist, alpha, cfg), c
+
+    @PROPERTY
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), gain_laws, gain_laws, gain_laws,
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_sup(self, regime, p, p_j, h_m, h_e, h_z, alpha):
+        sp, dist = SystemParams(p, p_j), ChannelTriple(h_m, h_e, h_z)
+        sol, c = self.solve_and_c(regime, sp, dist, alpha)
+        r_s = sol.r_s_star
+        if sol.report.feasible:
+            assert c_min_closed_form(regime, sol.policy, r_s, sp, dist) >= alpha
+        else:
+            assert r_s == 0.0 and c(0.0) < alpha
+        assert c(r_s + 1e-9 * max(1.0, r_s)) < alpha
+
+    @PROPERTY
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), gain_laws, gain_laws, gain_laws,
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_nonincreasing_in_alpha(self, regime, p, p_j, h_m, h_e, h_z, a, b):
+        sp, dist = SystemParams(p, p_j), ChannelTriple(h_m, h_e, h_z)
+        low, high = (self.solve_and_c(regime, sp, dist, alpha)[0].r_s_star
+                     for alpha in sorted((a, b)))
+        assert low >= high - 1e-12 * max(1.0, high)

@@ -316,6 +316,27 @@ class TestDominanceRegion:
         dominance_region(self.HE, self.HM, self.CFG)
         assert calls == []
 
+    def test_illinois_rate_pair_calls(self, monkeypatch):
+        # one call for the grid, one per Illinois step over all crossing rows and one for
+        # gap_err at the reported ties; bisecting the rows to the same width takes 40
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return pair(*args)
+
+        pair = ergodic._rate_pair
+        monkeypatch.setattr(ergodic, "_rate_pair", counted)
+        res = dominance_region(self.HE, self.HM, self.CFG)
+        assert any(bp.status == "ok" for bp in res.boundary)
+        assert len(calls) <= 15
+
+    def test_first_cell_tie_reports_that_cell(self):
+        # p = 0: every gap is exactly 0, so each row ties at its first grid point
+        cfg = RegionConfig(SystemParams(0.0, 1.0), GainDistribution.exponential(1.0), hz_star=1.0)
+        res = dominance_region([0.5, 2.0], [1.0, 10.0], cfg)
+        assert [(bp.status, bp.e_hm, bp.gap_err) for bp in res.boundary] == [("ok", 1.0, 0.0)] * 2
+
     def test_narrow_grid_cell_brackets_the_tie(self, monkeypatch):
         # a sign-change cell 0.02 wide is bisected on to 1e-12 of the tie
         e_he = 1.0
