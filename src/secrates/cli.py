@@ -78,21 +78,21 @@ _DEFAULT_CHANNELS = {
 }
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal; locale-independent."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None:
+def _cell(v) -> str:
+    """A string as is, None empty, a bool 1 or 0, else the float's shortest round-trip decimal."""
+    if isinstance(v, str):
+        return v
+    if v is None:
         return ""
-    return repr(float(x))
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return repr(float(v))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+def _write_csv(path: Path, columns: dict) -> None:
+    """The ``columns`` (arrays or lists, flattened row-major) side by side, in dict order."""
+    rows = zip(*(np.ravel(col).tolist() for col in columns.values()))
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -116,6 +116,13 @@ def _value(key: str, section: dict, where: str | None = None):
     return value
 
 
+def _known(section: dict, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a key of ``section`` outside ``keys``, naming its path ``where`` + key."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}{key}: unknown key; expected one of {', '.join(keys)}")
+
+
 def _parse_gain(channels, name: str) -> GainDistribution:
     where = f"channels.{name}"
     section = channels.get(name) if isinstance(channels, dict) else None
@@ -126,16 +133,17 @@ def _parse_gain(channels, name: str) -> GainDistribution:
     return _build(where, lambda: GainDistribution(kind, _number(section[param])))
 
 
-def _axis(section, where: str):
-    """(num, make) of a finite, positive, increasing axis; ``make()`` builds its points."""
+def _axis(section, where: str) -> dict:
+    """A finite, positive, increasing axis as the manifest records it, its spacing filled in."""
     start, stop, num = _build(f"{where} (start/stop/num)", lambda: (
         _number(section["start"]), _number(section["stop"]), _integer(section["num"])))
     if not (num >= 1 and 0 < start <= stop < np.inf and (num == 1 or stop > start)):
         raise ConfigError(f"{where}: axis must be finite, positive and increasing")
+    _known(section, ("start", "stop", "num", "spacing"), f"{where}.")
     spacing = section.get("spacing", "log")
     if spacing not in ("log", "linear"):
         raise ConfigError(f"{where}.spacing: expected log or linear, got {spacing!r}")
-    return num, lambda: (np.geomspace if spacing == "log" else np.linspace)(start, stop, num)
+    return {"start": start, "stop": stop, "num": num, "spacing": spacing}
 
 
 @dataclass(frozen=True)
@@ -155,15 +163,15 @@ def _resolve(config: dict) -> Experiment:
     scenario = config.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: expected one of {SCENARIOS}, got {scenario!r}")
+    _known(config, ("scenario", "alphas", "channels", "power", "grid", "point", "seed",
+                    "samples", "rate_tol", "hz_star", "hz_quantile"), "")
     out = {
         "scenario": scenario,
         "channels": config.get("channels", _DEFAULT_CHANNELS),
         "power": config.get("power", {"p": 1.0, "p_j": 1.0}),
     }
-    def search_config(pilot: bool = True) -> SearchConfig:
+    def search_config() -> SearchConfig:
         # solve() reads seed, samples and rate_tol only for a pilot solve's batch and bisection
-        if not pilot:
-            return SearchConfig()
         out.update({key: _value(key, config) for key in ("seed", "samples", "rate_tol")})
         return SearchConfig(rate_tol=out["rate_tol"], mc_n=out["samples"], seed=out["seed"])
 
@@ -181,21 +189,25 @@ def _resolve(config: dict) -> Experiment:
         grid = config.get("grid")
         if not isinstance(grid, dict) or "he" not in grid or "hm" not in grid:
             raise ConfigError("grid: he and hm axes are required for ergodic-region")
-        (n_he, he), (n_hm, hm) = _axis(grid["he"], "grid.he"), _axis(grid["hm"], "grid.hm")
-        if n_he * n_hm > 10**6:  # each region array holds a float per cell
+        out["grid"] = {name: _axis(grid[name], f"grid.{name}") for name in ("he", "hm")}
+        he, hm = out["grid"].values()
+        if he["num"] * hm["num"] > 10**6:  # each region array holds a float per cell
             raise ConfigError(f"grid.he.num x grid.hm.num: must be at most 10**6 cells, "
-                              f"got {n_he} x {n_hm}")
-        axes = he(), hm()
-        out["grid"] = grid
+                              f"got {he['num']} x {hm['num']}")
+        axes = tuple((np.geomspace if axis["spacing"] == "log" else np.linspace)(
+            axis["start"], axis["stop"], axis["num"]) for axis in (he, hm))
     else:
         point = config.get("point")
         if not isinstance(point, dict) or "op" not in point:
             raise ConfigError("point: a mapping with an 'op' key is required")
         out["point"] = point
+        args = point.get("args") or {}
+        if not isinstance(args, dict):
+            raise ConfigError("point.args: expected a mapping")
+        _known(args, ("alpha", "R", "r_s", "x", "channel", "regime"), "point.args.")
         if point["op"] == "solve":
-            args = point.get("args") or {}  # run_point_eval names a malformed one
-            solver = search_config(isinstance(args, dict) and _value(
-                "regime", args, "point.args.regime") is CsiRegime.PILOT_FEEDBACK)
+            pilot = _value("regime", args, "point.args.regime") is CsiRegime.PILOT_FEEDBACK
+            solver = search_config() if pilot else SearchConfig()
     if "hz_star" in config:
         out["hz_star"] = hz_star = _value("hz_star", config)
     else:
@@ -220,61 +232,36 @@ def _write_manifest(out_dir: Path, resolved: dict, outputs: list[str], wall_cloc
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def run_delay_limited_sweep(exp: Experiment, out_dir: Path) -> int:
-    t0 = time.monotonic()
-    rows = []
-    for alpha in exp.config["alphas"]:
-        sols = [solve(regime, exp.sp, exp.dist, alpha, exp.search) for regime in CsiRegime]
-        errs = [sol.report.std_err for sol in sols]
-        rows.append([alpha] + [sol.r_s_star for sol in sols] + errs
-                    + [not sol.report.feasible for sol in sols])
-    header = [
-        "alpha", "r_s_nocsi", "r_s_packet", "r_s_pilot",
-        "c_stderr_nocsi", "c_stderr_packet", "c_stderr_pilot",
-        "infeasible_nocsi", "infeasible_packet", "infeasible_pilot",
-    ]
-    csv_path = out_dir / "delay_limited_sweep.csv"
-    _write_csv(csv_path, header, rows)
-    _write_manifest(out_dir, exp.config, [csv_path.name], time.monotonic() - t0)
-    print(f"wrote {csv_path}")
-    return EXIT_INFEASIBLE if all(all(row[7:]) for row in rows) else EXIT_OK
+def run_delay_limited_sweep(exp: Experiment) -> tuple[int, dict]:
+    """The exit code and ``{csv name: columns}``; every alpha's solves come before the next's."""
+    rows = [[solve(regime, exp.sp, exp.dist, alpha, exp.search) for regime in CsiRegime]
+            for alpha in exp.config["alphas"]]
+    columns = {"alpha": exp.config["alphas"]}
+    for field, get in (("r_s", lambda s: s.r_s_star), ("c_stderr", lambda s: s.report.std_err),
+                       ("infeasible", lambda s: not s.report.feasible)):
+        for name, sols in zip(("nocsi", "packet", "pilot"), zip(*rows)):
+            columns[f"{field}_{name}"] = [get(sol) for sol in sols]
+    code = EXIT_INFEASIBLE if all(not s.report.feasible for row in rows for s in row) else EXIT_OK
+    return code, {"delay_limited_sweep.csv": columns}
 
 
-def run_ergodic_region(exp: Experiment, out_dir: Path) -> int:
-    t0 = time.monotonic()
+def run_ergodic_region(exp: Experiment) -> tuple[int, dict]:
     region = dominance_region(*exp.axes, RegionConfig(exp.sp, exp.dist.h_z, exp.hz_star))
-
-    grid_rows = []
-    for i, e_he in enumerate(region.he_means):
-        for j, e_hm in enumerate(region.hm_means):
-            gap = region.r_nocsi[i, j] - region.r_upper[i, j]
-            winner = "across_blocks" if gap > 0 else "block_by_block" if gap < 0 else "tie"
-            grid_rows.append(
-                [e_he, e_hm, region.r_nocsi[i, j], region.r_upper[i, j],
-                 region.err_nocsi[i, j], region.err_upper[i, j], winner]
-            )
-    grid_path = out_dir / "ergodic_grid.csv"
-    _write_csv(
-        grid_path,
-        ["e_he", "e_hm", "r_nocsi", "r_upper", "err_nocsi", "err_upper", "winner"],
-        grid_rows,
-    )
-
-    boundary_path = out_dir / "ergodic_boundary.csv"
-    _write_csv(boundary_path, ["e_he", "e_hm_boundary", "status", "gap_err"],
-               [[b.e_he, b.e_hm, b.status, b.gap_err] for b in region.boundary])
-    _write_manifest(out_dir, exp.config, [grid_path.name, boundary_path.name],
-                    time.monotonic() - t0)
-    print(f"wrote {grid_path} and {boundary_path}")
-    return EXIT_OK
+    e_he, e_hm = np.meshgrid(region.he_means, region.hm_means, indexing="ij")
+    gap = region.r_nocsi - region.r_upper
+    grid = {"e_he": e_he, "e_hm": e_hm, "r_nocsi": region.r_nocsi, "r_upper": region.r_upper,
+            "err_nocsi": region.err_nocsi, "err_upper": region.err_upper,
+            "winner": np.select([gap > 0, gap < 0], ["across_blocks", "block_by_block"], "tie")}
+    bnd = region.boundary
+    boundary = {"e_he": [b.e_he for b in bnd], "e_hm_boundary": [b.e_hm for b in bnd],
+                "status": [b.status for b in bnd], "gap_err": [b.gap_err for b in bnd]}
+    return EXIT_OK, {"ergodic_grid.csv": grid, "ergodic_boundary.csv": boundary}
 
 
-def run_point_eval(exp: Experiment, out_dir: Path) -> int:
+def run_point_eval(exp: Experiment) -> tuple[int, dict]:
     point = exp.config["point"]
     op = point["op"]
-    args = point.get("args", {}) or {}
-    if not isinstance(args, dict):
-        raise ConfigError("point.args: expected a mapping")
+    args = point.get("args") or {}
 
     if op == "cdf":
         which = _value("channel", args, "point.args.channel")
@@ -303,7 +290,7 @@ def run_point_eval(exp: Experiment, out_dir: Path) -> int:
         )
     else:
         raise ConfigError(f"point.op: unknown operation {op!r}")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +337,14 @@ def main(argv: list[str] | None = None) -> int:
             "ergodic-region": run_ergodic_region,
             "point-eval": run_point_eval,
         }[exp.config["scenario"]]
-        return runner(exp, args.out_dir)
+        t0 = time.monotonic()
+        code, tables = runner(exp)
+        for name, columns in tables.items():
+            _write_csv(args.out_dir / name, columns)
+        if tables:
+            _write_manifest(args.out_dir, exp.config, list(tables), time.monotonic() - t0)
+            print("wrote " + " and ".join(str(args.out_dir / name) for name in tables))
+        return code
     except (NonConvergence, NonMonotone) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -249,7 +249,8 @@ def test_criterion_8_reproducibility(tmp_path):
     for name in ("ergodic_grid.csv", "ergodic_boundary.csv"):
         ok &= (out1 / name).read_bytes() == (out2 / name).read_bytes()
     manifest = json.loads((out1 / "manifest.json").read_text())
-    ok &= manifest["config"]["grid"] == config["grid"]  # a region records no seed
+    resolved = {axis: {**spec, "spacing": "log"} for axis, spec in config["grid"].items()}
+    ok &= manifest["config"]["grid"] == resolved  # a region records no seed
     report(8, "manifest rerun byte-identical", ok)
 
 

@@ -9,13 +9,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 import secrates
 from secrates.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NONCONVERGENCE, EXIT_OK, _resolve,
-                          main)
+                          _write_csv, main, run_delay_limited_sweep, run_ergodic_region,
+                          run_point_eval)
 from secrates.errors import ConfigError
 
 FAST_CHANNELS = {
@@ -171,6 +173,23 @@ class TestConfigErrors:
         assert main(["--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"rate_tl": 1e-6, "point": SOLVE}, "rate_tl"),
+        ({"scenario": "ergodic-region",
+          "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 3},
+                   "hm": {"start": 1.0, "stop": 10.0, "num": 2, "spcing": "linear"}}},
+         "grid.hm.spcing"),
+        ({"point": {"op": "cdf", "args": {"x": 1.0, "chanel": "h_m"}}}, "point.args.chanel"),
+    ])
+    def test_unknown_key_names_its_path(self, tmp_path, capsys, extra, key):
+        # a key the grammar does not define used to be ignored, and its default used
+        data = {"scenario": "point-eval", "channels": FAST_CHANNELS,
+                "point": {"op": "cdf", "args": {"x": 1.0}}, **extra}
+        cfg = write_config(tmp_path / "c.yaml", data)
+        assert main(["--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key}: unknown key" in err and "Traceback" not in err
 
     def test_out_dir_names_a_file(self, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -382,6 +401,23 @@ class TestErgodicRegion:
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert not {"seed", "samples", "rate_tol"} & set(config)
 
+    def test_rerun_resolves_the_grid(self, tmp_path):
+        # a manifest that recorded the grid as written (a float num, no spacing) reruns
+        # byte-identically, and the new manifest records the resolved axes
+        written = {"he": {"start": 0.5, "stop": 2.0, "num": 2.0},
+                   "hm": {"start": 1.0, "stop": 10.0, "num": 2}}
+        resolved = {axis: {"start": spec["start"], "stop": spec["stop"], "num": 2,
+                           "spacing": "log"} for axis, spec in written.items()}
+        old = tmp_path / "manifest.json"
+        old.write_text(json.dumps({"config": {"scenario": "ergodic-region", "grid": written}}))
+        cfg = write_config(tmp_path / "c.yaml", {"scenario": "ergodic-region", "grid": resolved})
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["--rerun", str(old), "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("ergodic_grid.csv", "ergodic_boundary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        grid = json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["grid"]
+        assert grid == resolved and all(type(axis["num"]) is int for axis in grid.values())
+
     @pytest.mark.parametrize("name", ["h_m", "h_e"])
     def test_point_mass_law_rejected(self, tmp_path, capsys, name):
         # the region is a grid of exponential means; a point mass used to be
@@ -398,6 +434,62 @@ class TestErgodicRegion:
         err = capsys.readouterr().err
         assert f"channels.{name}" in err and "Traceback" not in err
         assert not (out / "ergodic_grid.csv").exists()
+
+
+@pytest.mark.parametrize("config, names", [
+    ({"scenario": "delay-limited-sweep", "alphas": [0.5], "channels": FAST_CHANNELS},
+     ["delay_limited_sweep.csv"]),
+    ({"scenario": "ergodic-region", "grid": {"he": {"start": 0.5, "stop": 2.0, "num": 2},
+                                             "hm": {"start": 1.0, "stop": 10.0, "num": 2}}},
+     ["ergodic_grid.csv", "ergodic_boundary.csv"]),
+    ({"scenario": "point-eval", "point": {"op": "cdf", "args": {"x": 1.0}}}, []),
+])
+def test_runners_write_no_file(tmp_path, monkeypatch, config, names):
+    # a runner returns its tables; main alone writes them and the manifest
+    exp = _resolve(config)
+    runner = {"delay-limited-sweep": run_delay_limited_sweep, "ergodic-region": run_ergodic_region,
+              "point-eval": run_point_eval}[config["scenario"]]
+    monkeypatch.chdir(tmp_path)
+    code, tables = runner(exp)
+    assert code == EXIT_OK and list(tables) == names
+    assert list(tmp_path.iterdir()) == []
+    # through main, point-eval still writes no file
+    if not names:
+        cfg = write_config(tmp_path / "c.yaml", config)
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+# doubles a CSV cell must carry exactly: signed zero, subnormals, the extremes, inf and nan
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+# derandomized: every run tries the same examples, so a failure reproduces
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), min_size=1, max_size=16))
+def test_csv_floats_round_trip(values):
+    """Every float cell parses back to the same double (its sign too), and nan to nan."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        _write_csv(path, {"array": np.array(values), "list": [np.float64(v) for v in values]})
+        lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "array,list" and len(lines) == 1 + len(values)
+    for v, line in zip(values, lines[1:]):
+        for cell in line.split(","):
+            back = float(cell)
+            assert (math.isnan(back) and math.isnan(v)) or (
+                back == v and math.copysign(1.0, back) == math.copysign(1.0, v))
+
+
+def test_csv_cells_and_column_order(tmp_path):
+    # a bool is 1 or 0, None an empty cell, a string verbatim; a 2-D array is read row-major
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"winner": np.array(["tie", "block by block", "x"]),
+                      "flag": [True, False, np.bool_(True)], "e_hm": [None, 0.5, np.float64(2.0)],
+                      "grid": np.array([[1.5], [2.5], [3.0]]), "alpha": np.array([0.1, 1.0, 1e-7])})
+    assert path.read_bytes() == (b"winner,flag,e_hm,grid,alpha\n"
+                                 b"tie,1,,1.5,0.1\nblock by block,0,0.5,2.5,1.0\nx,1,2.0,3.0,1e-07\n")
 
 
 class TestPointEval:
